@@ -1,4 +1,4 @@
-"""Benchmark F2: scenario-batched sweep vs looped fast engine.
+"""Benchmark F2: scenario-batched sweep vs looped run_spsta.
 
 Writes ``benchmarks/results/BENCH_scenario_sweep.json`` — the
 benchmark-trajectory artifact: a 64-corner derate sweep of s1196 at
@@ -7,7 +7,7 @@ pre-batching loop (`run_scenarios_looped`), with the per-grid wall
 times and speedups.  The payload is validated against
 ``repro.experiments.bench_schema`` before it hits disk.
 
-Measurement protocol matches ``test_bench_spsta_fast.py``: every
+Measurement protocol matches ``test_bench_spsta_speedup.py``: every
 (backend, grid) sample runs in a fresh subprocess so allocator and
 page-cache state from one run cannot skew another, and each cell takes
 the median of ``REPEATS`` samples.  The headline grid is the coarsest
@@ -114,5 +114,5 @@ def test_scenario_sweep_trajectory_artifact(results_dir):
                   json.dumps(payload, indent=2))
     assert headline["speedup"] >= MIN_SPEEDUP, (
         f"64-corner {CIRCUIT} sweep at n={HEADLINE_GRID}: batched only "
-        f"{headline['speedup']:.2f}x over the looped fast engine "
+        f"{headline['speedup']:.2f}x over the looped run_spsta "
         f"(floor {MIN_SPEEDUP:.0f}x)")

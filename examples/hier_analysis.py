@@ -39,7 +39,7 @@ def main() -> None:
 
     # 2. The stitched result is an ordinary SpstaResult, and for the
     #    closed-form algebras it matches the flat engine bit-exactly:
-    #    every region rerun is the unmodified fast engine seeded with
+    #    every region rerun is the unmodified run_spsta seeded with
     #    the exact upstream boundary TOPs.
     flat = run_spsta(netlist, CONFIG_I)
     p_h, mu_h, sd_h = run.result.report(endpoint, "rise")

@@ -141,10 +141,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     partitions = args.partition if args.partition else (
         4 if args.hier else 0)
     if partitions:
-        if args.engine != "fast":
-            raise SystemExit(
-                "--partition/--hier run the fast engine per region; "
-                "drop --engine naive")
         from repro.hier import run_hier
         hier_run = run_hier(netlist, config, n_regions=partitions,
                             workers=args.spsta_workers,
@@ -155,9 +151,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
               f"({hier_run.dedup_hits} dedup hits)")
         spsta = hier_run.result
     else:
-        spsta = run_spsta(netlist, config, engine=args.engine,
-                          workers=args.spsta_workers,
-                          profile=spsta_profile)
+        spsta = run_spsta(netlist, config, profile=spsta_profile)
     mc = None
     if args.trials > 0:
         fault = _mc_fault_args(args)
@@ -214,8 +208,7 @@ def _cmd_table3(args: argparse.Namespace) -> int:
     fault = _mc_fault_args(args)
     rows = run_table3(config, n_trials=args.trials, seed=args.seed,
                       mc_mode=args.mc_mode, shards=args.shards,
-                      workers=args.workers, engine=args.engine,
-                      spsta_workers=args.spsta_workers,
+                      workers=args.workers,
                       profile=args.profile, retry=fault.retry,
                       deadline=fault.deadline,
                       checkpoint_dir=fault.checkpoint, resume=fault.resume)
@@ -537,7 +530,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     import time
 
     from repro.core.scenario import run_scenario_batch, run_scenarios_looped
-    from repro.core.scenario_jit import resolve_jit_flag
     from repro.core.spsta import GridAlgebra, MixtureAlgebra, MomentAlgebra
 
     netlist = _load_circuit(args.circuit)
@@ -551,14 +543,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         algebra = MomentAlgebra()
     sweep = run_scenario_batch(netlist, scenarios, algebra,
-                               keep=args.keep, jit=args.jit)
+                               keep=args.keep)
 
     report = {
         "circuit": netlist.name,
         "algebra": args.algebra,
         "n_scenarios": len(scenarios),
         "keep": args.keep,
-        "jit": resolve_jit_flag(args.jit),
         "compile_seconds": sweep.compile_seconds,
         "execute_seconds": sweep.execute_seconds,
         "scenarios": [],
@@ -609,7 +600,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                   f"{worst['direction']} P={worst['probability']:.3f} "
                   f"mu={worst['mean']:.3f} sd={worst['std']:.3f}")
         if "speedup" in report:
-            print(f"  looped fast engine: {report['looped_seconds']:.2f}s, "
+            print(f"  looped run_spsta: {report['looped_seconds']:.2f}s, "
                   f"batched speedup {report['speedup']:.1f}x")
     if args.profile:
         print(sweep.profile.render())
@@ -727,7 +718,7 @@ def _cmd_hier(args: argparse.Namespace) -> int:
         if args.compare_flat:
             cmp = report["compare_flat"]
             deltas = cmp["max_endpoint_delta"]
-            print(f"  flat fast engine: {cmp['flat_seconds']:.2f}s "
+            print(f"  flat run_spsta: {cmp['flat_seconds']:.2f}s "
                   f"(speedup {cmp['speedup']:.2f}x), worst endpoint "
                   f"deltas P={deltas['probability']:.3g} "
                   f"mu={deltas['mean']:.3g} sd={deltas['std']:.3g}")
@@ -915,13 +906,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "budget and merge what completed (stream "
                               "mode; partial runs report widened errors)")
 
-    def add_spsta_engine_args(cmd: argparse.ArgumentParser) -> None:
-        cmd.add_argument("--engine", choices=("fast", "naive"),
-                         default="fast",
-                         help="SPSTA propagation engine (fast: levelized "
-                              "batched kernels; naive: per-gate reference)")
-        cmd.add_argument("--spsta-workers", type=int, default=1,
-                         help="process pool size for the fast grid engine")
+    def add_profile_arg(cmd: argparse.ArgumentParser) -> None:
         cmd.add_argument("--profile", action="store_true",
                          help="print SPSTA phase timings and work counters")
 
@@ -941,7 +926,10 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--hier", action="store_true",
                          help="shorthand for --partition 4")
     add_mc_engine_args(analyze)
-    add_spsta_engine_args(analyze)
+    analyze.add_argument("--spsta-workers", type=int, default=1,
+                         help="process pool size for --partition/--hier "
+                              "regions")
+    add_profile_arg(analyze)
     analyze.set_defaults(func=_cmd_analyze)
 
     lint = sub.add_parser(
@@ -1006,7 +994,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "scenario-batched backend (one compile per "
                              "circuit) instead of the per-config tables")
     add_mc_engine_args(table3)
-    add_spsta_engine_args(table3)
+    add_profile_arg(table3)
     table3.set_defaults(func=_cmd_table3)
 
     errors = sub.add_parser(
@@ -1039,13 +1027,9 @@ def build_parser() -> argparse.ArgumentParser:
                        default="endpoints",
                        help="grid algebra: retain all nets or trim "
                             "interior blocks after last use")
-    sweep.add_argument("--jit", choices=("auto", "on", "off"),
-                       default=None,
-                       help="numba segment-sum feature flag (default: "
-                            "SPSTA_SCENARIO_JIT env var, else auto)")
     sweep.add_argument("--compare-looped", action="store_true",
-                       help="also time the per-scenario looped fast "
-                            "engine and report the speedup")
+                       help="also time one run_spsta per scenario and "
+                            "report the speedup")
     sweep.add_argument("--json",
                        help="write the JSON report to this path ('-' for "
                             "stdout)")
@@ -1085,7 +1069,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "completed regions merge, the rest report "
                            "pending (exit 3)")
     hier.add_argument("--compare-flat", action="store_true",
-                      help="also run the flat fast engine and report "
+                      help="also run the flat analysis and report "
                            "speedup and worst endpoint deltas")
     hier.add_argument("--json",
                       help="write the JSON report to this path ('-' for "

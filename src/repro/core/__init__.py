@@ -73,7 +73,6 @@ from repro.core.spsta_canonical import (
     CanonicalTopAlgebra,
     endpoint_correlation,
 )
-from repro.core.spsta_fast import run_spsta_fast
 from repro.core.ssta import ArrivalPair, SstaResult, run_ssta
 from repro.core.ssta_canonical import CorrelatedSstaResult, run_ssta_correlated
 from repro.core.sta import StaResult, run_sta
@@ -139,7 +138,6 @@ __all__ = [
     "CorrelatedSstaResult",
     "ArrivalPair",
     "run_spsta",
-    "run_spsta_fast",
     "SpstaProfile",
     "SpstaResult",
     "TopFunction",

@@ -13,9 +13,10 @@ For an AND-core gate (non-controlling value 1):
     P0(y) = 1 - P1 - Pr - Pf
 
 which is exactly the paper's Eq. 10; the OR-core is the 0/1 mirror image.
-Parity (XOR) gates have no controlling value and use exact O(4^k) joint
-enumeration instead.  A generic enumeration path exists for every gate and
-serves as the test oracle for the closed forms.
+Parity (XOR) gates have no controlling value; their O(k) form folds the
+joint distribution of the inputs' initial and final parities.  A generic
+O(4^k) enumeration path exists for every gate and serves as the test
+oracle for the closed forms.
 
 The classic two-value signal probability of power estimation (Eq. 5) is also
 provided, for static (non-transitioning) input statistics.
@@ -44,9 +45,11 @@ def gate_prob4(gate_type: GateType, inputs: Sequence[Prob4]) -> Prob4:
     if gate_type is GateType.NOT:
         return inputs[0].inverted()
     if spec.is_parity:
-        return gate_prob4_enumerated(gate_type, inputs)
-    result = (_and_core_prob4(inputs) if spec.controlling_value == 0
-              else _or_core_prob4(inputs))
+        result = _parity_prob4(inputs)
+    elif spec.controlling_value == 0:
+        result = _and_core_prob4(inputs)
+    else:
+        result = _or_core_prob4(inputs)
     return result.inverted() if spec.inverting else result
 
 
@@ -70,10 +73,26 @@ def _or_core_prob4(inputs: Sequence[Prob4]) -> Prob4:
     return Prob4(p_zero, p_one, p_rise, p_fall)
 
 
+def _parity_prob4(inputs: Sequence[Prob4]) -> Prob4:
+    """XOR core in O(k): the joint distribution of the (initial, final)
+    parities of the inputs, folded one input at a time.  The output starts
+    at the initial parity and settles at the final one."""
+    ee, eo, oe, oo = 1.0, 0.0, 0.0, 0.0
+    for p in inputs:
+        z, o, r, f = p.p_zero, p.p_one, p.p_rise, p.p_fall
+        # A static one flips both parities, a rise only the final one,
+        # a fall only the initial one.
+        ee, eo, oe, oo = (ee * z + oo * o + eo * r + oe * f,
+                          eo * z + oe * o + ee * r + oo * f,
+                          oe * z + eo * o + oo * r + ee * f,
+                          oo * z + ee * o + oe * r + eo * f)
+    return Prob4(ee, oo, eo, oe)
+
+
 def gate_prob4_enumerated(gate_type: GateType,
                           inputs: Sequence[Prob4]) -> Prob4:
     """Exact (under independence) O(4^k) joint enumeration — the oracle for
-    the closed forms and the production path for parity gates."""
+    the closed forms."""
     spec = gate_spec(gate_type)
     if len(inputs) > MAX_ENUMERATION_FANIN:
         raise ValueError(

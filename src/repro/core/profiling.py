@@ -32,7 +32,6 @@ class SpstaProfile:
     engine: str = ""
     algebra: str = ""
     circuit: str = ""
-    workers: int = 1
     scenarios: int = 1           # >1 for the scenario-batched backend
 
     gates_processed: int = 0
@@ -89,7 +88,6 @@ class SpstaProfile:
         lines = [
             f"{indent}SPSTA profile [{self.engine}] "
             f"{self.circuit or '?'} / {self.algebra or '?'}"
-            + (f" / workers={self.workers}" if self.workers > 1 else "")
             + (f" / scenarios={self.scenarios}"
                if self.scenarios > 1 else ""),
             f"{indent}  gates: {self.gates_processed}  "

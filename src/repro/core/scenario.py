@@ -1,13 +1,13 @@
-"""Compiled scenario-batched SPSTA backend.
+"""Compiled SPSTA program: the grid algebra's one propagation engine.
 
-The fast engine (:mod:`repro.core.spsta_fast`) batches gates *within* one
-analysis; every multi-corner flow in the repo — ``run_corners``, the
-Table 3 config sweep, derate studies — still loops whole analyses, paying
-the full per-scenario Python walk, weight-table build, launch, and
-small-batch FFT dispatch N times.  This module compiles a netlist ONCE
-into a flat tensor program and then executes N scenarios (PVT/derate
-corners, input-statistics sweeps, delay-model perturbations) as one
-vectorized pass over a stacked ``(scenario, net, bin)`` array.
+This module compiles a netlist ONCE into a flat tensor program and then
+executes N >= 1 scenarios (PVT/derate corners, input-statistics sweeps,
+delay-model perturbations) as one vectorized pass over a stacked
+``(scenario, net, bin)`` array.  ``run_spsta`` runs every
+:class:`~repro.core.spsta.GridAlgebra` analysis through it with a single
+scenario, so a one-off analysis and a 64-corner sweep execute the same
+kernels; the closed-form algebras (moments, mixtures) use the per-gate
+kernel of :mod:`repro.core.spsta` instead.
 
 Compile / execute model
 -----------------------
@@ -26,31 +26,27 @@ the compiled program:
 - **launch / probabilities once per group** — ``launch_tops`` and the
   four-value probability walk run once, not once per scenario;
 - **stacked per-level prep** — every referenced conditional density of
-  every scenario normalizes and integrates in one 2-D pass (the batched
-  analogue of ``_prepare_nets``, with per-net ``(scenario, bin)``
-  blocks);
-- **cross-scenario subset DP** — AND/OR-core directions become
-  ``_ControllingJob`` rows whose subset-lattice DP batches across gates
-  AND scenarios in the existing 3-D kernels (packed subset-weight tables
-  are built once per gate direction and shared by every scenario in the
-  group via :class:`~repro.core.spsta_fast.WeightTableCache`);
-- **batched convolve + mix** — all rows of a level, across all
-  scenarios, go through one kernel-grouped FFT batch and one run-length
-  segment mix (optionally jitted, see below).
+  every scenario normalizes and integrates in one 2-D pass;
+- **cross-scenario subset DP** — AND/OR-core directions run the
+  subset-lattice DP (:func:`subset_lattice`: the MAX over a subset is
+  ``max(MAX(subset minus top bit), top)``, one pairwise fold per mask)
+  batched across gates AND scenarios as 3-D array ops; the Eq. 11
+  subset-weight tables are memoized by :class:`WeightTableCache` and
+  shared by every gate and scenario with equal probability vectors;
+- **parity prefix enumeration** — XOR/XNOR collapse the 4^k four-value
+  assignments to 3^k (static / rise / fall) patterns, tracking the
+  static-ones parity as an (even, odd) weight pair and sharing MAX-fold
+  prefixes;
+- **batched convolve + mix** — terms sharing a delay kernel are pre-mixed
+  with their exact convolution retention, then all rows of a level,
+  across all scenarios, go through one kernel-grouped FFT batch and one
+  run-length segment mix.
 
-Closed-form algebras (moments, mixtures) cannot reorder their scalar
-folds without losing the repo's bit-exactness contract, so they run the
-per-scenario generic walk with shared launch/probability/weight-table
-state — identical results to looping ``run_spsta(engine="fast")``, minus
-the redundant per-scenario setup.
-
-Feature flag
-------------
-
-``jit="auto"|"on"|"off"`` (or the ``SPSTA_SCENARIO_JIT`` environment
-variable) selects an optional numba-jitted segment-sum kernel for the
-mix phase; when numba is absent the flag degrades cleanly to the NumPy
-path (:mod:`repro.core.scenario_jit`).
+Closed-form algebras cannot reorder their scalar folds without losing
+the repo's bit-exactness contract, so they run the per-gate kernel
+(``repro.core.spsta._gate_tops``) for each scenario over shared
+launch/probability state — identical results to looping ``run_spsta``,
+minus the redundant per-scenario setup.
 
 Memory scaling
 --------------
@@ -62,16 +58,23 @@ last fan-out level so peak memory follows the live frontier instead of
 the whole netlist.  ``repro.lint`` rule SP204 estimates the
 ``n_scenarios × bins × nets`` footprint up front.
 
-Equivalence with the looped fast engine is pinned by
-``tests/test_scenario_batch.py`` and the conformance harness
-(``batched-vs-fast`` / ``batched-vs-mc`` policies): bit-exact for the
-closed-form algebras, within 1e-12 weights / 1e-9 moments for grids.
+Equivalence with the naive reference is pinned by
+``tests/test_spsta_fastpath.py``, ``tests/test_scenario_batch.py`` and
+the conformance harness (``fast-vs-naive`` / ``batched-vs-fast`` /
+``batched-vs-mc`` policies): bit-exact for the closed-form algebras;
+within 1e-12 weights / 1e-9 moments between scenario groupings and
+within the ``fast-vs-naive/grid`` policy of the naive grid sweep.  The
+grid program assumes the time grid covers the support of every density
+(as any grid analysis must): it normalizes terms before the delay
+convolution instead of after, which is only exact when the convolution
+loses no probability mass off the grid ends.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
+from functools import lru_cache
+import time
 from typing import (
     Callable,
     Dict,
@@ -90,7 +93,6 @@ from repro.core.delay import DelayModel, UnitDelay
 from repro.core.inputs import CONFIG_I, InputStats, Prob4
 from repro.core.probability import gate_prob4
 from repro.core.profiling import SpstaProfile
-from repro.core.scenario_jit import SegmentSum, resolve_segment_sum
 from repro.core.spsta import (
     MAX_PARITY_FANIN,
     GridAlgebra,
@@ -98,29 +100,30 @@ from repro.core.spsta import (
     NetTops,
     SpstaResult,
     TopAlgebra,
+    TopFunction,
     _delay_for,
+    _gate_tops,
     _harvest_kernel_counters,
     check_parity_fanin,
     launch_tops,
     run_spsta,
     validate_parity_fanins,
 )
-from repro.core.spsta_fast import (
-    MAX_DP_ROWS,
-    WeightTableCache,
-    _ControllingJob,
-    _convolve_matrix,
-    _gate_tops_generic,
-    _GridContext,
-    _mix_rows,
-    _run_controlling_jobs,
-    _subset_dp,
-    _wrap_top,
-    subset_lattice,
-)
 from repro.logic.gates import GateSpec, GateType, gate_spec
 from repro.netlist.core import Gate, Netlist
-from repro.stats.grid import cdf_rows, trapezoid_rows
+from repro.stats.grid import (
+    MASS_WARN_FRACTION,
+    GridDensity,
+    KernelCache,
+    TimeGrid,
+    _warn_truncation,
+    cdf_rows,
+    convolve_rows,
+    kernel_retention_vector,
+    shift_retention_vector,
+    shift_rows,
+    trapezoid_rows,
+)
 from repro.stats.normal import Normal
 
 __all__ = [
@@ -311,20 +314,18 @@ def run_scenario_batch(netlist: Netlist,
                        compiled: Optional[CompiledNetlist] = None,
                        profile: Optional[SpstaProfile] = None,
                        max_parity_fanin: Optional[int] = None,
-                       keep: str = "all",
-                       jit: Optional[str] = None) -> SweepResult:
+                       keep: str = "all") -> SweepResult:
     """Execute N scenarios over one netlist as a batched sweep.
 
-    Results match looping ``run_spsta(..., engine="fast")`` per
-    scenario: bit-exactly for the closed-form algebras, within grid
-    rounding (1e-12 weights / 1e-9 moments) for :class:`GridAlgebra` —
-    see ``tests/test_scenario_batch.py``.
+    Results match looping ``run_spsta`` per scenario: bit-exactly for the
+    closed-form algebras, within grid rounding (1e-12 weights / 1e-9
+    moments) for :class:`GridAlgebra` — see
+    ``tests/test_scenario_batch.py``.
 
     ``compiled`` reuses a :func:`compile_netlist` program across sweeps;
     ``keep`` is ``"all"`` (every net's TOPs in every result) or
     ``"endpoints"`` (grid algebra: interior blocks are freed after their
-    last use, results retain launch points and endpoints only);
-    ``jit`` is the numba feature flag (see module docstring).
+    last use, results retain launch points and endpoints only).
     """
     scenarios = tuple(scenarios)
     if not scenarios:
@@ -339,7 +340,6 @@ def run_scenario_batch(netlist: Netlist,
     profile.algebra = type(algebra).__name__
     profile.circuit = netlist.name
     profile.scenarios = len(scenarios)
-    segment_sum = resolve_segment_sum(jit)
 
     t0 = time.perf_counter()
     if compiled is None:
@@ -375,20 +375,47 @@ def run_scenario_batch(netlist: Netlist,
         models = [scenarios[i].delay_model for i in idxs]
         if isinstance(algebra, GridAlgebra):
             group_out = _run_grid_group(compiled, stats, models, algebra,
-                                        wcache, profile, keep, segment_sum)
+                                        wcache, profile, keep)
         else:
             group_out = _run_generic_group(compiled, stats, models, algebra,
-                                           wcache, profile)
+                                           profile)
         for i, (prob4, tops) in zip(idxs, group_out):
             results[i] = SpstaResult(netlist.name, algebra, prob4, tops,
                                      profile)
     execute_seconds = time.perf_counter() - t1
 
+    _harvest_caches(wcache, algebra, profile)
+    return SweepResult(netlist.name, scenarios, tuple(results), profile,
+                       compile_seconds, execute_seconds)
+
+
+def run_grid(netlist: Netlist,
+             stats: Union[InputStats, Mapping[str, InputStats]],
+             delay_model: DelayModel, algebra: GridAlgebra,
+             profile: SpstaProfile, max_parity_fanin: Optional[int],
+             seed_tops: Optional[Mapping[str, Tuple[Prob4, NetTops]]]
+             ) -> SpstaResult:
+    """One grid analysis as a single-scenario run of the compiled program.
+
+    The :class:`GridAlgebra` path of :func:`repro.core.spsta.run_spsta`;
+    ``seed_tops`` pre-seeds launch points exactly as there.
+    """
+    with profile.phase("compile"):
+        compiled = compile_netlist(netlist, max_parity_fanin=max_parity_fanin)
+    profile.levels = len(compiled.levels)
+    wcache = WeightTableCache()
+    ((prob4, tops),) = _run_grid_group(compiled, stats, [delay_model],
+                                       algebra, wcache, profile, "all",
+                                       seed_tops)
+    _harvest_caches(wcache, algebra, profile)
+    return SpstaResult(netlist.name, algebra, prob4, tops, profile)
+
+
+def _harvest_caches(wcache: WeightTableCache, algebra: TopAlgebra,
+                    profile: SpstaProfile) -> None:
     profile.weight_table_hits = wcache.hits
     profile.weight_table_misses = wcache.misses
     _harvest_kernel_counters(algebra, profile)
-    return SweepResult(netlist.name, scenarios, tuple(results), profile,
-                       compile_seconds, execute_seconds)
 
 
 def run_scenarios_looped(netlist: Netlist,
@@ -398,7 +425,8 @@ def run_scenarios_looped(netlist: Netlist,
                          *,
                          max_parity_fanin: Optional[int] = None
                          ) -> List[SpstaResult]:
-    """Reference loop: one full ``run_spsta(engine="fast")`` per scenario.
+    """Reference loop: one full :func:`~repro.core.spsta.run_spsta` per
+    scenario, each with a fresh algebra.
 
     The pre-batching behaviour every sweep caller had; kept as the
     differential-test oracle and the benchmark baseline
@@ -407,8 +435,7 @@ def run_scenarios_looped(netlist: Netlist,
     if algebra_factory is None:
         algebra_factory = MomentAlgebra
     return [run_spsta(netlist, scenario.stats, scenario.delay_model,
-                      algebra_factory(), engine="fast",
-                      max_parity_fanin=max_parity_fanin)
+                      algebra_factory(), max_parity_fanin=max_parity_fanin)
             for scenario in scenarios]
 
 
@@ -420,15 +447,13 @@ _GroupOut = List[Tuple[Dict[str, Prob4], Dict[str, NetTops]]]
 
 
 def _run_generic_group(compiled: CompiledNetlist, stats, models, algebra,
-                       wcache: WeightTableCache,
                        profile: SpstaProfile) -> _GroupOut:
     """Moment/mixture scenarios of one stats group.
 
-    Launch TOPs, four-value probabilities, and Eq. 11 weight tables are
-    computed once and shared; each scenario then replays the exact fold
-    sequence of the looped fast engine, so results stay bit-identical to
-    ``run_spsta(engine="fast")`` (cached weight tables serve exact-match
-    buckets regardless of which scenario populated them).
+    Launch TOPs and four-value probabilities are computed once and
+    shared; each scenario then runs the per-gate kernel ``_gate_tops``
+    of :func:`~repro.core.spsta.run_spsta` in the same gate order, so
+    results stay bit-identical to looping ``run_spsta``.
     """
     netlist = compiled.netlist
     prob4: Dict[str, Prob4] = {}
@@ -449,12 +474,434 @@ def _run_generic_group(compiled: CompiledNetlist, stats, models, algebra,
                     gate = record.gate
                     in_probs = [prob4[src] for src in gate.inputs]
                     in_tops = [tops[src] for src in gate.inputs]
-                    tops[gate.name] = _gate_tops_generic(
-                        gate, in_probs, in_tops, model, algebra, wcache,
+                    tops[gate.name] = _gate_tops(
+                        gate, in_probs, in_tops, model, algebra,
                         compiled.parity_cap, profile)
                     profile.gates_processed += 1
             out.append((prob4, tops))
     return out
+
+# ---------------------------------------------------------------------------
+# Subset lattice and Eq. 11 weight tables, shared by every gate.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SubsetLattice:
+    """Static structure of the non-empty subsets of ``k`` candidates.
+
+    Arrays are indexed by ``mask - 1`` for masks ``1 .. 2^k - 1``.  ``top``
+    is the highest set bit, ``prev`` the mask with that bit cleared (the
+    DP predecessor), ``pop`` the popcount; ``by_pop[c]`` lists the 0-based
+    indices of all masks with popcount ``c + 1`` (for batched grid DP).
+    """
+
+    k: int
+    top: np.ndarray
+    prev: np.ndarray
+    pop: np.ndarray
+    by_pop: Tuple[np.ndarray, ...]
+
+
+@lru_cache(maxsize=None)
+def subset_lattice(k: int) -> SubsetLattice:
+    """The (memoized) subset lattice for fanin ``k``."""
+    masks = np.arange(1, 1 << k)
+    top = np.zeros(masks.shape[0], dtype=np.int64)
+    pop = np.zeros(masks.shape[0], dtype=np.int64)
+    for idx, mask in enumerate(masks):
+        top[idx] = int(mask).bit_length() - 1
+        pop[idx] = bin(int(mask)).count("1")
+    prev = masks - (1 << top)
+    by_pop = tuple(np.nonzero(pop == c)[0] for c in range(1, k + 1))
+    return SubsetLattice(k, top, prev, pop, by_pop)
+
+
+def build_weight_table(switch: Tuple[float, ...],
+                       static: Tuple[float, ...]) -> np.ndarray:
+    """Per-mask subset weights for one candidate probability vector.
+
+    Folds the factors in candidate index order — the exact multiplication
+    order of the naive ``_subset_terms`` loop, so cached tables reproduce
+    the reference path's subset weights bit for bit.
+    """
+    k = len(switch)
+    table = np.empty((1 << k) - 1)
+    for mask in range(1, 1 << k):
+        w = 1.0
+        for bit in range(k):
+            w *= switch[bit] if (mask >> bit) & 1 else static[bit]
+        table[mask - 1] = w
+    return table
+
+
+class WeightTableCache:
+    """Memoized Eq. 11 subset-weight tables, keyed by the exact switch and
+    static probability vectors (so a table is only ever served for the
+    vectors it was built from)."""
+
+    __slots__ = ("hits", "misses", "_tables")
+
+    def __init__(self) -> None:
+        self.hits = 0
+        self.misses = 0
+        self._tables: Dict[tuple, np.ndarray] = {}
+
+    def table(self, switch: Tuple[float, ...],
+              static: Tuple[float, ...]) -> np.ndarray:
+        key = (switch, static)
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = build_weight_table(switch, static)
+            self.misses += 1
+        else:
+            self.hits += 1
+        return table
+
+
+# ---------------------------------------------------------------------------
+# Grid kernels: batched array operations over raw density rows.
+# ---------------------------------------------------------------------------
+
+@dataclass
+class _GridContext:
+    """Per-analysis state the grid kernels share."""
+
+    grid: TimeGrid
+    kernel_cache: KernelCache
+    wcache: WeightTableCache
+    parity_cap: int
+    profile: SpstaProfile
+
+    def __post_init__(self) -> None:
+        self._retentions: Dict[tuple, np.ndarray] = {}
+
+    def retention(self, delay: Normal) -> np.ndarray:
+        """Memoized retention vector for one delay (see
+        :func:`~repro.stats.grid.kernel_retention_vector`)."""
+        dt = self.grid.dt
+        if delay.sigma <= 0.0:
+            key = ("shift", int(round(delay.mu / dt)))
+        else:
+            key = (delay.mu, delay.sigma)
+        vec = self._retentions.get(key)
+        if vec is None:
+            if delay.sigma <= 0.0:
+                vec = shift_retention_vector(key[1], self.grid.n, dt)
+            else:
+                vec = kernel_retention_vector(self.kernel_cache.kernel(delay),
+                                              self.grid.n, dt)
+            self._retentions[key] = vec
+        return vec
+
+    def record_mass(self, clipped, reference, operation: str) -> None:
+        """Mass-conservation audit of a batch of grid operations.
+
+        ``clipped``/``reference`` are matching arrays of off-grid mass
+        lost vs the mass each operation started with; the
+        aggregates land in the run's :class:`SpstaProfile` (the grid
+        program's counterpart of :class:`~repro.stats.grid.MassLedger`).
+        """
+        clip = np.maximum(clipped, 0.0)
+        prof = self.profile
+        prof.mass_checks += clip.size
+        if clip.size == 0:
+            return
+        ok = reference > 0.0
+        frac = np.divide(clip, reference, out=np.zeros_like(clip), where=ok)
+        prof.clipped_mass += float(clip.sum(where=ok))
+        worst = float(frac.max())
+        events = int(np.count_nonzero(frac > MASS_WARN_FRACTION))
+        if events:
+            prof.clip_events += events
+            _warn_truncation(operation, worst)
+        if worst > prof.max_clip_fraction:
+            prof.max_clip_fraction = worst
+
+
+class _ControllingJob:
+    """One AND/OR-core gate direction of one scenario under an MIS-aware
+    delay model, whose subset DP is deferred.
+
+    Jobs from every gate and scenario of a level are grouped by
+    ``(fanin, use_max)`` and evaluated together in
+    :func:`_run_controlling_jobs` as 3-D stacked array ops.  After the
+    batched run, ``total`` holds the direction's occurrence weight and
+    ``acc`` maps each distinct delay kernel to its pre-mixed row.
+    """
+
+    __slots__ = ("k", "use_max", "weights", "pdfs", "cdfs", "delay_for",
+                 "total", "acc")
+
+    def __init__(self, k: int, use_max: bool, weights: np.ndarray,
+                 pdfs: List[np.ndarray], cdfs: List[np.ndarray],
+                 delay_for) -> None:
+        self.k = k
+        self.use_max = use_max
+        self.weights = weights
+        self.pdfs = pdfs
+        self.cdfs = cdfs
+        self.delay_for = delay_for
+        self.total = 0.0
+        self.acc: Dict[Tuple[float, float],
+                       Tuple[Normal, np.ndarray]] = {}
+
+
+#: Upper bound on batch-size × subset-count rows a chunked DP holds live;
+#: at n = 2048 this keeps the three (B, M, n) work arrays near ~100 MB.
+MAX_DP_ROWS = 2048
+
+
+def _run_controlling_jobs(jobs: Sequence[_ControllingJob],
+                          ctx: _GridContext) -> None:
+    """Evaluate every deferred controlling-gate direction of a level.
+
+    Jobs are grouped by ``(fanin, use_max)`` so one 3-D DP sweep serves all
+    gates sharing a lattice, chunked to bound peak memory.  Each job's math
+    involves only its own rows, so grouping cannot change which operations
+    run on a job's data.  Results across different groupings agree to a few
+    ULPs rather than bit-exactly: NumPy's SIMD elementwise division is not
+    guaranteed correctly rounded on every platform (observed 0.5-ulp
+    truncations from the AVX-512 kernel), so the normalization inside the
+    DP may round differently between batch shapes.
+    """
+    groups: Dict[Tuple[int, bool], List[_ControllingJob]] = {}
+    for job in jobs:
+        groups.setdefault((job.k, job.use_max), []).append(job)
+    for (k, use_max), group in groups.items():
+        lat = subset_lattice(k)
+        chunk = max(1, MAX_DP_ROWS // ((1 << k) - 1))
+        for lo in range(0, len(group), chunk):
+            _run_controlling_chunk(group[lo:lo + chunk], lat, use_max, ctx)
+
+
+def _subset_dp(pdfs: np.ndarray, cdfs: np.ndarray, lat: SubsetLattice,
+               use_max: bool, dt: float,
+               profile: SpstaProfile) -> Tuple[np.ndarray, np.ndarray]:
+    """Subset-lattice DP over a ``(rows, k, n)`` stack of operand rows.
+
+    DP over the subset lattice, batched by popcount across the whole
+    batch: all masks of one cardinality of all rows combine their
+    predecessor with one extra input in a single stacked Eq. 3 pass.
+    Mirrors the naive fold exactly: operands are normalized before each
+    fold and the result's CDF is recomputed by trapezoid accumulation.
+    Each row's math involves only its own operands, so callers may stack
+    rows from any mix of gates and scenarios without changing which
+    operations touch a row.
+
+    Returns ``(node_pdf, node_cdf)`` of shape ``(rows, 2^k - 1, n)``
+    indexed by ``mask - 1``; node pdfs are the normalized fold results,
+    node cdfs their trapezoid accumulations.  Cdfs of full-popcount
+    masks are never consumed by a further fold and are left unset —
+    callers use ``node_pdf`` only.
+
+    Masks are evaluated one at a time against strided views of the node
+    tables: the per-mask arrays are ``(rows, n)`` and rows-dominated
+    batches avoid the fancy-index copies a per-popcount gather would
+    make.
+    """
+    b, k, n = pdfs.shape
+    node_pdf = np.empty((b, (1 << k) - 1, n))
+    node_cdf = np.empty_like(node_pdf)
+    singles = lat.by_pop[0]
+    node_pdf[:, singles] = pdfs[:, lat.top[singles]]
+    node_cdf[:, singles] = cdfs[:, lat.top[singles]]
+    last = k - 1
+    for c in range(1, k):
+        idxs = lat.by_pop[c]
+        if idxs.size == 0:
+            continue
+        for m in idxs:
+            pa = node_pdf[:, lat.prev[m] - 1]
+            ca = node_cdf[:, lat.prev[m] - 1]
+            pb = pdfs[:, lat.top[m]]
+            cb = cdfs[:, lat.top[m]]
+            if use_max:
+                raw = pa * cb                             # Eq. 3
+                raw += pb * ca
+            else:
+                raw = pa * (1.0 - cb)                     # MIN analogue
+                raw += pb * (1.0 - ca)
+            ints = trapezoid_rows(raw, dt)
+            if (ints <= 0.0).any():
+                raise ValueError("cannot normalize an empty density")
+            raw /= ints[:, None]
+            node_pdf[:, m] = raw
+            if c != last:
+                node_cdf[:, m] = cdf_rows(raw, dt)
+        profile.max_folds += idxs.size * b
+    return node_pdf, node_cdf
+
+
+def _run_controlling_chunk(batch: Sequence[_ControllingJob],
+                           lat: SubsetLattice, use_max: bool,
+                           ctx: _GridContext) -> None:
+    """Subset DP + retention-corrected row extraction for one job batch.
+
+    Each positive mask's weight and exact convolution retention fold into
+    its node row, accumulating one pre-mixed row per distinct delay
+    kernel per job (convolution is linear, so one convolution of the
+    accumulated row equals convolving every Eq. 11 term separately).
+    """
+    n = ctx.grid.n
+    k = lat.k
+    b = len(batch)
+    pdfs = np.empty((b, k, n))
+    cdfs = np.empty((b, k, n))
+    for j, job in enumerate(batch):
+        for i in range(k):
+            pdfs[j, i] = job.pdfs[i]
+            cdfs[j, i] = job.cdfs[i]
+    node_pdf, _ = _subset_dp(pdfs, cdfs, lat, use_max, ctx.grid.dt,
+                             ctx.profile)
+    weight_mat = np.stack([job.weights for job in batch])
+    for c_idx in range(k):
+        sel = lat.by_pop[c_idx]
+        w = weight_mat[:, sel]
+        active = np.nonzero((w > 0.0).any(axis=1))[0]
+        if active.size == 0:
+            continue
+        by_delay: Dict[Tuple[float, float], Tuple[Normal, List[int]]] = {}
+        for j in active:
+            delay = batch[j].delay_for(c_idx + 1)
+            by_delay.setdefault((delay.mu, delay.sigma), (delay, []))[1] \
+                .append(int(j))
+        sub = node_pdf[:, sel]
+        for key, (delay, js) in by_delay.items():
+            jarr = np.asarray(js)
+            subj = sub if jarr.size == b else sub[jarr]
+            # Each node row is normalized, so its post-convolution
+            # integral is its retention; mask `m` loses w_m * (1 - r_m).
+            retained = subj @ ctx.retention(delay)
+            wj = w[jarr]
+            positive = wj > 0.0
+            if (positive & (retained <= 0.0)).any():
+                raise ValueError("cannot normalize an empty density")
+            ctx.record_mass((wj * (1.0 - retained))[positive],
+                            wj[positive], "subset convolution")
+            coef = np.where(positive,
+                            wj / np.where(retained > 0.0, retained, 1.0), 0.0)
+            rows_c = np.einsum("jl,jln->jn", coef, subj)
+            for t, j in enumerate(js):
+                acc = batch[j].acc.get(key)
+                if acc is None:
+                    batch[j].acc[key] = (delay, rows_c[t])
+                else:
+                    batch[j].acc[key] = (delay, acc[1] + rows_c[t])
+    for job in batch:
+        job.total = _occurrence_total(job.weights)
+        ctx.profile.subset_terms += int(np.count_nonzero(job.weights > 0.0))
+
+
+def _occurrence_total(weights: np.ndarray) -> float:
+    """Sum of a direction's positive subset weights in mask order — the
+    naive mix's summation order, so occurrence weights match the
+    reference bit for bit."""
+    total = 0.0
+    for w in weights.tolist():
+        if w > 0.0:
+            total += w
+    return total
+
+
+def _convolve_matrix(matrix: np.ndarray, delays: Sequence[Normal],
+                     ctx: _GridContext) -> np.ndarray:
+    """Delay-convolve a stack of rows, grouped by kernel.
+
+    ``delays[i]`` is the kernel of ``matrix[i]``.  Each row is convolved
+    independently, so callers may stack rows from any mix of gates,
+    directions, and scenarios.  Gaussian kernels always take the FFT
+    path: level batches are nearly always past the direct/FFT crossover,
+    and a fixed choice keeps results independent of how rows are grouped
+    (FFT and direct differ by ~1e-16 per bin).
+    """
+    dt = ctx.grid.dt
+    profile = ctx.profile
+    groups: Dict[Tuple[float, float], List[int]] = {}
+    for i, delay in enumerate(delays):
+        if delay.sigma <= 0.0:
+            # Deterministic kernels act through their integer bin shift
+            # alone, so distinct means sharing a shift (e.g. nearby
+            # derate corners) merge into one group.
+            key = (float(int(round(delay.mu / dt))), -1.0)
+        else:
+            key = (delay.mu, delay.sigma)
+        groups.setdefault(key, []).append(i)
+    # With rows pre-merged per kernel, levels of a homogeneous-delay
+    # design collapse to one group — no scatter copy.
+    single = len(groups) == 1
+    out = None if single else np.empty_like(matrix)
+    for (mu, sigma), idxs in groups.items():
+        sel = None if single else np.asarray(idxs)
+        src = matrix if single else matrix[sel]
+        if sigma < 0.0:
+            res = shift_rows(src, int(mu))
+            profile.shift_rows += src.shape[0]
+        else:
+            kernel = ctx.kernel_cache.kernel(Normal(mu, sigma))
+            res = convolve_rows(src, kernel, "fft")
+            profile.fft_convolutions += src.shape[0]
+        if single:
+            out = res
+        else:
+            out[sel] = res
+    return out
+
+
+def _mix_rows(out: np.ndarray, counts: Sequence[int],
+              expected: np.ndarray, ctx: _GridContext) -> np.ndarray:
+    """Eq. 8 mix of convolved rows into per-segment densities.
+
+    Term weights and per-term convolution retentions were folded into
+    the rows before convolution, so the mix is one contiguous segment sum
+    followed by a batched normalization (plus clipping FFT noise).
+    ``counts[i]`` rows belong to segment ``i`` and ``expected[i]`` is the
+    integral its sum should reach (the mass-conservation reference).
+    np.add.reduceat walks segments one ufunc reduction at a time;
+    summing runs of equal-length segments through a reshape is much
+    faster, and most segments are a single row (one delay kernel).
+    """
+    dt = ctx.grid.dt
+    n = ctx.grid.n
+    np.maximum(out, 0.0, out=out)
+    n_seg = len(counts)
+    mixed = np.empty((n_seg, n))
+    seg = pos = 0
+    while seg < n_seg:
+        count = counts[seg]
+        run = seg + 1
+        while run < n_seg and counts[run] == count:
+            run += 1
+        block = out[pos:pos + (run - seg) * count]
+        if count == 1:
+            mixed[seg:run] = block
+        else:
+            mixed[seg:run] = block.reshape(run - seg, count, n).sum(axis=1)
+        pos += (run - seg) * count
+        seg = run
+    ints = trapezoid_rows(mixed, dt)
+    if (ints <= 0.0).any():
+        raise ValueError("cannot normalize an empty density")
+    # Mass audit: retention-corrected segments should integrate to
+    # their occurrence weight, BUFF/NOT segments to 1.0; anything lost
+    # beyond FFT noise is mass the grid shift/convolution clipped.
+    ctx.record_mass(expected - ints, expected, "level mix")
+    mixed /= ints[:, None]
+    # NaN/Inf sentinel: downstream rows bypass GridDensity validation
+    # (``from_trusted``), so this is the grid program's divergence check.
+    ctx.profile.finite_checks += 1
+    if not np.isfinite(mixed).all():
+        raise ValueError(
+            "non-finite density after level mix (NaN/Inf sentinel: a "
+            "grid operation diverged)")
+    return mixed
+
+
+def _wrap_top(grid: TimeGrid,
+              info: Optional[Tuple[float, np.ndarray]]) -> TopFunction:
+    if info is None:
+        return TopFunction.absent()
+    weight, values = info
+    return TopFunction(weight, GridDensity.from_trusted(grid, values))
 
 
 # ---------------------------------------------------------------------------
@@ -476,22 +923,27 @@ _DirItems = Optional[List[object]]
 def _run_grid_group(compiled: CompiledNetlist, stats, models,
                     algebra: GridAlgebra, wcache: WeightTableCache,
                     profile: SpstaProfile, keep: str,
-                    segment_sum: Optional[SegmentSum]) -> _GroupOut:
-    """Grid scenarios of one stats group as one stacked sweep."""
+                    seeds: Optional[Mapping[str, Tuple[Prob4, NetTops]]]
+                    = None) -> _GroupOut:
+    """Grid scenarios of one stats group as one stacked sweep.
+
+    ``seeds`` pre-seeds launch points with given ``(Prob4, NetTops)``
+    pairs (see :func:`~repro.core.spsta.launch_tops`).
+    """
     netlist = compiled.netlist
     grid = algebra.grid
     n = grid.n
     dt = grid.dt
     b = len(models)
-    ctx = _GridContext(grid=grid, delay_model=models[0],
-                       kernel_cache=algebra.kernel_cache, wcache=wcache,
-                       parity_cap=compiled.parity_cap, profile=profile)
+    ctx = _GridContext(grid=grid, kernel_cache=algebra.kernel_cache,
+                       wcache=wcache, parity_cap=compiled.parity_cap,
+                       profile=profile)
     any_mis = any(hasattr(model, "delay_mis") for model in models)
     gate_delays = None if any_mis else _group_gate_delays(models)
     prob4: Dict[str, Prob4] = {}
     launch: Dict[str, NetTops] = {}
     with profile.phase("launch"):
-        launch_tops(netlist, stats, algebra, prob4, launch)
+        launch_tops(netlist, stats, algebra, prob4, launch, seeds=seeds)
     weights: Dict[Tuple[str, int], float] = {}
     blocks: _Blocks = {}
     for net, tops in launch.items():
@@ -570,8 +1022,7 @@ def _run_grid_group(compiled: CompiledNetlist, stats, models,
             with profile.phase("convolve"):
                 out = _convolve_matrix(np.vstack(rows), delays, ctx)
             with profile.phase("mix"):
-                mixed = _mix_rows(out, counts, np.asarray(expected), ctx,
-                                  segment_sum)
+                mixed = _mix_rows(out, counts, np.asarray(expected), ctx)
             seg = 0
             for name, direction in order:
                 blocks[(name, direction)] = mixed[seg:seg + b].copy()
@@ -609,10 +1060,11 @@ def _prepare_blocks(nets: Sequence[str], blocks: _Blocks, b: int,
                                        Tuple[np.ndarray, np.ndarray]]:
     """Normalize every referenced block of a level in one stacked pass.
 
-    The batched analogue of ``_prepare_nets``: all ``(scenario, bin)``
-    rows of all referenced net directions vstack into one matrix for
-    normalization and CDF accumulation — the per-row math is identical,
-    each net direction just contributes B rows instead of one.
+    All ``(scenario, bin)`` rows of all referenced net directions vstack
+    into one matrix for normalization and CDF accumulation, so each
+    net direction pays once per level regardless of fanout (the naive
+    path re-normalizes and re-integrates operands inside every pairwise
+    MAX).
     """
     slots: List[Tuple[str, int]] = []
     stacks: List[np.ndarray] = []
@@ -627,7 +1079,7 @@ def _prepare_blocks(nets: Sequence[str], blocks: _Blocks, b: int,
         return prep
     stack = np.vstack(stacks)
     ints = trapezoid_rows(stack, dt)
-    if np.any(ints <= 0.0):
+    if (ints <= 0.0).any():
         raise ValueError("cannot normalize an empty density")
     stack /= ints[:, None]
     cdfs = cdf_rows(stack, dt)
@@ -659,8 +1111,8 @@ def _phase_a_gate(record: GateRecord, prob4: Mapping[str, Prob4],
             dirs = (dirs[1], dirs[0])
         return dirs
     if record.kind == KIND_PARITY:
-        # spec.inverting is applied inside the parity enumeration (as in
-        # _grid_parity), so no swap here.
+        # spec.inverting is applied inside the parity enumeration, so no
+        # swap here.
         in_probs = [prob4[src] for src in gate.inputs]
         entry_blocks = [_parity_entry(src, weights, prep)
                         for src in gate.inputs]
@@ -747,8 +1199,12 @@ class _DirBlock:
 
 def _copy_items(gate: Gate, weights, prep, delay_fors,
                 b: int) -> Tuple[_DirItems, _DirItems]:
-    """BUFF/NOT: one normalized row per scenario per occurring direction
-    (expected post-convolution mass 1.0, as in ``_grid_gate_items``)."""
+    """BUFF/NOT: one normalized row per scenario per occurring direction.
+
+    A single term per direction: the final per-segment normalization is
+    scale-invariant, so no retention correction is needed and the row
+    stays a normalized pdf (expected post-convolution mass 1.0).
+    """
     src = gate.inputs[0]
     dirs: List[_DirItems] = []
     for d in (0, 1):
@@ -769,11 +1225,14 @@ def _batched_parity(record: GateRecord, in_probs: Sequence[Prob4],
                     ) -> Tuple[_DirItems, _DirItems]:
     """Cross-scenario parity (XOR/XNOR) enumeration.
 
-    The 3^k prefix recursion of ``_grid_parity`` with ``(scenario, bin)``
-    blocks in place of single rows: the enumeration tree and its parity
-    weights depend only on the group's statistics, so the recursion runs
-    once per gate and every MAX fold processes all scenarios as one
-    stacked row operation (identical per-row math).
+    Equivalent to the naive 4^k four-value enumeration: non-switching
+    inputs collapse into an (even, odd) static-ones parity weight pair,
+    switching inputs extend a shared MAX-fold prefix, and the output
+    direction follows the initial-value parity (falls start at 1),
+    inverted for XNOR.  The enumeration tree and its parity weights
+    depend only on the group's statistics, so the recursion runs once
+    per gate and every MAX fold processes all scenarios as one stacked
+    ``(scenario, bin)`` row operation.
     """
     spec = record.spec
     k = len(in_probs)
@@ -782,36 +1241,39 @@ def _batched_parity(record: GateRecord, in_probs: Sequence[Prob4],
     rise_terms: List[Tuple[float, int, np.ndarray]] = []
     fall_terms: List[Tuple[float, int, np.ndarray]] = []
 
+    # Fold nodes are [pdf block, cdf block or None]: a node's CDF is
+    # accumulated only when a later input folds into it, so leaf folds
+    # (every fold of a 2-input gate) never pay for one.
     options = []
     for i, p in enumerate(in_probs):
         rw, rp, rc, fw, fp, fc = entry_blocks[i]
         options.append((
             p,
-            (rp, rc) if (p.p_rise > 0.0 and rw > 0.0
+            [rp, rc] if (p.p_rise > 0.0 and rw > 0.0
                          and rp is not None) else None,
-            (fp, fc) if (p.p_fall > 0.0 and fw > 0.0
+            [fp, fc] if (p.p_fall > 0.0 and fw > 0.0
                          and fp is not None) else None,
         ))
 
-    def fold(state: Optional[Tuple[np.ndarray, np.ndarray]],
-             cond: Tuple[np.ndarray, np.ndarray],
-             ) -> Tuple[np.ndarray, np.ndarray]:
-        # State: (normalized pdf, cdf) blocks of the shared fold prefix.
+    def cdf_of(node: list) -> np.ndarray:
+        if node[1] is None:
+            node[1] = cdf_rows(node[0], dt)
+        return node[1]
+
+    def fold(state: Optional[list], cond: list) -> list:
         if state is None:
             return cond
-        pa, ca = state
-        pb, cb = cond
-        raw = pa * cb + pb * ca
+        raw = state[0] * cdf_of(cond)
+        raw += cond[0] * cdf_of(state)
         ints = trapezoid_rows(raw, dt)
-        if np.any(ints <= 0.0):
+        if (ints <= 0.0).any():
             raise ValueError("cannot normalize an empty density")
-        pdf = raw / ints[:, None]
+        raw /= ints[:, None]
         ctx.profile.max_folds += b
-        return pdf, cdf_rows(pdf, dt)
+        return [raw, None]
 
     def recurse(i: int, even_w: float, odd_w: float,
-                state: Optional[Tuple[np.ndarray, np.ndarray]],
-                n_switch: int) -> None:
+                state: Optional[list], n_switch: int) -> None:
         if even_w <= 0.0 and odd_w <= 0.0:
             return
         if i == k:
@@ -839,55 +1301,43 @@ def _batched_parity(record: GateRecord, in_probs: Sequence[Prob4],
     recurse(0, 1.0, 0.0, None, 0)
     ctx.profile.parity_terms += (len(rise_terms) + len(fall_terms)) * b
 
-    kernel_memo: Dict[int, Tuple[List[Normal], np.ndarray]] = {}
-
-    def kernels_for(pop: int) -> Tuple[List[Normal], np.ndarray]:
-        # Constant-delay models ignore the popcount, so all terms of a
-        # non-MIS group share one kernel stack per gate.
-        key = pop if mis else 1
-        hit = kernel_memo.get(key)
-        if hit is None:
-            delays = [delay_fors[s](pop) for s in range(b)]
-            hit = (delays, np.stack([ctx.retention(d) for d in delays]))
-            kernel_memo[key] = hit
-        return hit
-
     def collapse(terms: List[Tuple[float, int, np.ndarray]]) -> _DirItems:
+        """Pre-mix one direction's terms, one row per scenario and kernel.
+
+        Terms sharing a kernel (all of them under a constant-delay model,
+        one popcount's worth under an MIS model) stack into a
+        ``(term, scenario, bin)`` array: one contraction with the
+        scenarios' retention vectors gives every term's exact convolution
+        retention, a second sums the retention-corrected terms.
+        """
         if not terms:
             return None
         total = 0.0
-        if not mis:
-            # Single kernel per scenario: accumulate one premixed block.
-            delays, rstack = kernels_for(1)
-            acc_block: Optional[np.ndarray] = None
-            for w, pop, block in terms:
-                total += w
-                retained = np.einsum("sn,sn->s", block, rstack)
-                if np.any(retained <= 0.0):
-                    raise ValueError("cannot normalize an empty density")
-                ctx.record_mass(w * (1.0 - retained), np.full(b, w),
-                                "parity convolution")
-                contrib = (w / retained)[:, None] * block
-                acc_block = (contrib if acc_block is None
-                             else acc_block + contrib)
-            return _DirBlock(total, total, delays, acc_block)
+        by_kernel: Dict[int, List[int]] = {}
+        for t, (w, pop, _) in enumerate(terms):
+            total += w
+            by_kernel.setdefault(pop if mis else 1, []).append(t)
         accs: List[Dict[Tuple[float, float],
                         Tuple[Normal, np.ndarray]]] = [{} for _ in range(b)]
-        for w, pop, block in terms:
-            total += w
-            delays, rstack = kernels_for(pop)
-            retained = np.einsum("sn,sn->s", block, rstack)
-            if np.any(retained <= 0.0):
+        for pop, idxs in by_kernel.items():
+            delays = [delay_fors[s](pop) for s in range(b)]
+            rstack = np.stack([ctx.retention(d) for d in delays])
+            w = np.array([terms[t][0] for t in idxs])[:, None]
+            blocks = np.stack([terms[t][2] for t in idxs])
+            retained = np.einsum("tsn,sn->ts", blocks, rstack)
+            if (retained <= 0.0).any():
                 raise ValueError("cannot normalize an empty density")
-            ctx.record_mass(w * (1.0 - retained), np.full(b, w),
+            ctx.record_mass(w * (1.0 - retained),
+                            np.broadcast_to(w, retained.shape),
                             "parity convolution")
-            contrib = (w / retained)[:, None] * block
-            for s in range(b):
-                delay = delays[s]
+            premixed = np.einsum("ts,tsn->sn", w / retained, blocks)
+            if not mis:
+                return _DirBlock(total, total, delays, premixed)
+            for s, delay in enumerate(delays):
                 key = (delay.mu, delay.sigma)
                 prev = accs[s].get(key)
-                accs[s][key] = (delay, contrib[s] if prev is None
-                                else prev[1] + contrib[s])
+                accs[s][key] = (delay, premixed[s] if prev is None
+                                else prev[1] + premixed[s])
         return [(total, total, list(acc.values())) for acc in accs]
 
     return collapse(rise_terms), collapse(fall_terms)
@@ -1001,8 +1451,7 @@ def _run_subset_templates(templates: Sequence[_SubsetTemplate], b: int,
     ``(template*scenario, fanin, bins)`` array, the DP runs in
     MAX_DP_ROWS-bounded chunks, and each row's single delay kernel turns
     the retention premix into two einsums.  Per-row math matches the
-    job path exactly (``_subset_dp`` rows are independent); totals
-    replicate ``_finish_jobs``' naive mask-order summation.
+    job path exactly (``_subset_dp`` rows are independent).
     """
     dt = ctx.grid.dt
     n = ctx.grid.n
@@ -1017,7 +1466,7 @@ def _run_subset_templates(templates: Sequence[_SubsetTemplate], b: int,
         cdfs = np.empty((rows_total, k, n))
         weight_rows = np.empty((rows_total, masks))
         rstack = np.empty((rows_total, n))
-        rstack_memo: Dict[int, np.ndarray] = {}
+        rstack_memo: Dict[tuple, np.ndarray] = {}
         for ti, t in enumerate(group):
             lo = ti * b
             hi = lo + b
@@ -1025,12 +1474,13 @@ def _run_subset_templates(templates: Sequence[_SubsetTemplate], b: int,
                 pdfs[lo:hi, i] = t.pdf_blocks[i]
                 cdfs[lo:hi, i] = t.cdf_blocks[i]
             weight_rows[lo:hi] = t.weights
-            # Templates of one group usually share a memoized kernel
-            # list (homogeneous base delays), so stack retentions once.
-            hit = rstack_memo.get(id(t.delays))
+            # Templates of one group usually share their kernels
+            # (homogeneous base delays), so stack retentions once.
+            key = tuple((d.mu, d.sigma) for d in t.delays)
+            hit = rstack_memo.get(key)
             if hit is None:
                 hit = np.stack([ctx.retention(d) for d in t.delays])
-                rstack_memo[id(t.delays)] = hit
+                rstack_memo[key] = hit
             rstack[lo:hi] = hit
         pre = np.empty((len(group) * b, n))
         # Chunk by element count, not row count: MAX_DP_ROWS bounds the
@@ -1044,7 +1494,7 @@ def _run_subset_templates(templates: Sequence[_SubsetTemplate], b: int,
             w = weight_rows[lo:hi]
             retained = np.einsum("rmn,rn->rm", node_pdf, rstack[lo:hi])
             positive = w > 0.0
-            if np.any(positive & (retained <= 0.0)):
+            if (positive & (retained <= 0.0)).any():
                 raise ValueError("cannot normalize an empty density")
             ctx.record_mass((w * (1.0 - retained))[positive], w[positive],
                             "subset convolution")
@@ -1052,10 +1502,8 @@ def _run_subset_templates(templates: Sequence[_SubsetTemplate], b: int,
                             / np.where(retained > 0.0, retained, 1.0), 0.0)
             pre[lo:hi] = np.einsum("rm,rmn->rn", coef, node_pdf)
         for ti, template in enumerate(group):
-            positive = np.nonzero(template.weights > 0.0)[0]
-            total = 0.0
-            for idx in positive:        # mask order, like _finish_jobs
-                total += template.weights[idx]
+            total = _occurrence_total(template.weights)
             template.items = _DirBlock(total, total, template.delays,
                                        pre[ti * b:(ti + 1) * b])
-            ctx.profile.subset_terms += positive.size * b
+            ctx.profile.subset_terms += (
+                int(np.count_nonzero(template.weights > 0.0)) * b)

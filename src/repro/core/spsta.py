@@ -194,7 +194,8 @@ class GridAlgebra(TopAlgebra[GridDensity]):
     ``conv_method`` selects the delay-convolution algorithm (``"direct"``,
     ``"fft"``, or ``"auto"``; see :meth:`GridDensity.convolved`).  The
     default ``"direct"`` preserves the historical numerics bit for bit; the
-    fast engine supplies its own batched FFT path regardless.  A per-algebra
+    compiled grid program (:mod:`repro.core.scenario`) supplies its own
+    batched FFT path regardless.  A per-algebra
     :class:`~repro.stats.grid.KernelCache` builds each distinct delay kernel
     once per analysis.
     """
@@ -324,7 +325,6 @@ def run_spsta(netlist: Netlist,
               algebra: Optional[TopAlgebra[D]] = None,
               *,
               engine: str = "fast",
-              workers: int = 1,
               profile: Optional[SpstaProfile] = None,
               max_parity_fanin: Optional[int] = None,
               seed_tops: Optional[
@@ -336,19 +336,23 @@ def run_spsta(netlist: Netlist,
     (the paper's setup) or a per-launch-point mapping.  ``algebra`` selects
     the TOP abstraction (default: :class:`MomentAlgebra`).
 
-    ``engine`` selects the propagation engine: ``"fast"`` (default) is the
-    levelized engine of :mod:`repro.core.spsta_fast` — subset-weight-table
-    caching, subset-lattice MAX/MIN sharing, and (for :class:`GridAlgebra`)
-    batched array kernels with cached FFT delay convolution; ``"naive"`` is
-    the original per-gate reference sweep.  Both produce the same results
-    (bit-exact for :class:`MomentAlgebra`; within discretization rounding
-    for :class:`GridAlgebra` — see ``tests/test_spsta_fastpath.py``).
+    Each algebra has one production path.  The closed-form algebras
+    (moments, mixtures) sweep the gates in topological order through the
+    per-gate kernel ``_gate_tops`` — the same kernel
+    :class:`~repro.core.incremental_spsta.IncrementalSpsta`, serve and the
+    optimizer use.  :class:`GridAlgebra` runs as a single scenario of the
+    compiled program in :mod:`repro.core.scenario` (levelized batched
+    subset DP, retention-corrected pre-mixing and cached FFT delay
+    convolution).  ``engine="naive"`` selects the per-gate reference
+    sweep for every algebra — the oracle the differential tests and
+    :mod:`repro.verify` compare the grid program against (within
+    discretization rounding, policy ``fast-vs-naive/grid``); for the
+    closed-form algebras both settings run the same code.
 
-    ``workers`` (fast grid engine only) opts into a process pool that
-    splits each level across worker processes.  ``profile`` is an optional
-    :class:`~repro.core.profiling.SpstaProfile` populated during the run
-    (one is always attached to the result).  ``max_parity_fanin`` overrides
-    :data:`MAX_PARITY_FANIN`, the guard against the 4^k parity blowup.
+    ``profile`` is an optional :class:`~repro.core.profiling.SpstaProfile`
+    populated during the run (one is always attached to the result).
+    ``max_parity_fanin`` overrides :data:`MAX_PARITY_FANIN`, the guard
+    against the 4^k parity blowup.
 
     ``seed_tops`` pre-seeds selected launch points with externally
     computed ``(Prob4, NetTops)`` pairs instead of deriving them from
@@ -358,22 +362,20 @@ def run_spsta(netlist: Netlist,
     flat run (``seed_tops=None``) is bit-identical to the historical
     behaviour.
     """
+    if engine not in ("fast", "naive"):
+        raise ValueError(f"unknown engine {engine!r} (use 'fast' or 'naive')")
     if algebra is None:
         algebra = MomentAlgebra()
-    if engine == "fast":
-        from repro.core.spsta_fast import run_spsta_fast
-        return run_spsta_fast(netlist, stats, delay_model, algebra,
-                              workers=workers, profile=profile,
-                              max_parity_fanin=max_parity_fanin,
-                              seed_tops=seed_tops)
-    if engine != "naive":
-        raise ValueError(f"unknown engine {engine!r} (use 'fast' or 'naive')")
-
     if profile is None:
         profile = SpstaProfile()
-    profile.engine = "naive"
+    profile.engine = engine
     profile.algebra = type(algebra).__name__
     profile.circuit = netlist.name
+    if engine == "fast" and isinstance(algebra, GridAlgebra):
+        from repro.core.scenario import run_grid
+        return run_grid(netlist, stats, delay_model, algebra, profile,
+                        max_parity_fanin, seed_tops)
+
     parity_cap = (MAX_PARITY_FANIN if max_parity_fanin is None
                   else max_parity_fanin)
     validate_parity_fanins(netlist, parity_cap)
@@ -405,7 +407,8 @@ def launch_tops(netlist: Netlist,
                 seeds: Optional[
                     Mapping[str, Tuple[Prob4, NetTops[D]]]] = None) -> None:
     """Assert launch-point statistics into ``prob4``/``tops`` (shared by the
-    naive and fast engines so both start from identical TOPs).
+    per-gate sweep and the compiled program so both start from identical
+    TOPs).
 
     ``seeds`` overrides individual launch points with pre-computed
     ``(Prob4, NetTops)`` pairs — the boundary pins of a hierarchical
@@ -526,8 +529,8 @@ def _subset_terms(in_probs: Sequence[Prob4], in_tops: Sequence[NetTops[D]],
 
     The per-mask weight is computed as ``static_factor * w`` with ``w``
     folded over the candidates in index order — the exact multiplication
-    order the fast engine's cached weight tables use, so the two paths stay
-    bit-identical.
+    order of the compiled grid program's cached weight tables, so both
+    paths compute identical subset weights.
     """
     candidates: List[int] = []
     static_factor = 1.0
@@ -609,13 +612,9 @@ def _parity_tops(spec: GateSpec, in_probs: Sequence[Prob4],
 
 def validate_parity_fanins(netlist: Netlist,
                            max_fanin: int = MAX_PARITY_FANIN) -> None:
-    """Reject over-wide parity gates before any propagation starts.
-
-    The four-value probability sweep that precedes the TOP computation is
-    itself a 4^k joint enumeration for parity gates, so checking only
-    inside :func:`_parity_tops` would let a wide XOR burn minutes in
-    ``gate_prob4`` before the guard ever fires.
-    """
+    """Reject over-wide parity gates before any propagation starts, so a
+    wide XOR fails up front instead of after the gates ahead of it in the
+    sweep have been computed."""
     for gate in netlist.combinational_gates:
         if gate_spec(gate.gate_type).is_parity:
             check_parity_fanin(len(gate.inputs), max_fanin)

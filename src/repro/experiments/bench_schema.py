@@ -1,10 +1,10 @@
 """Schemas of the machine-readable benchmark-trajectory artifacts.
 
 ``benchmarks/test_bench_scenario.py`` measures the scenario-batched
-backend against the looped fast engine over a trajectory of grid sizes
+backend against looped ``run_spsta`` calls over a trajectory of grid sizes
 and writes ``BENCH_scenario_sweep.json``;
 ``benchmarks/test_bench_hier.py`` measures the hierarchical partition
-scheduler against the flat fast engine over a trajectory of circuit
+scheduler against a flat ``run_spsta`` over a trajectory of circuit
 sizes (10^4 to 10^6 gates) and writes ``BENCH_hier_scale.json`` (CI
 uploads both as build artifacts).  This module is the single source of
 truth for those formats: the writers validate before writing and

@@ -63,8 +63,6 @@ def run_table3(config: InputStats,
                mc_mode: str = "waves",
                shards: int = 1,
                workers: int = 1,
-               engine: str = "fast",
-               spsta_workers: int = 1,
                profile: bool = False,
                retry: Optional[RetryPolicy] = None,
                deadline: Optional[float] = None,
@@ -76,8 +74,7 @@ def run_table3(config: InputStats,
     extrapolated to ``n_trials`` for the ``mc_scalar_seconds`` column
     (0 disables the probe).  ``mc_mode="stream"`` times the sharded
     streaming engine instead and records its per-shard timing/memory
-    counters in ``mc_shard_summary``.  ``engine``/``spsta_workers`` select
-    the SPSTA propagation engine and its process pool; ``profile=True``
+    counters in ``mc_shard_summary``.  ``profile=True``
     records each SPSTA run's phase timings and work counters into
     ``spsta_profile_summary``.  ``retry``/``deadline``/``checkpoint_dir``/
     ``resume`` apply the streaming engine's fault tolerance per circuit
@@ -89,8 +86,7 @@ def run_table3(config: InputStats,
         netlist = benchmark_circuit(name)
         spsta_profile = SpstaProfile() if profile else None
         t0 = time.perf_counter()
-        run_spsta(netlist, config, delay_model, engine=engine,
-                  workers=spsta_workers, profile=spsta_profile)
+        run_spsta(netlist, config, delay_model, profile=spsta_profile)
         t1 = time.perf_counter()
         run_ssta(netlist, delay_model)
         t2 = time.perf_counter()
@@ -148,7 +144,7 @@ def run_config_sweep(configs: Mapping[str, InputStats],
     shape for Table 2).  Here each circuit compiles once and all
     configurations execute as one :func:`run_scenario_batch` call;
     ``compare_looped=True`` also times the per-config
-    ``run_spsta(engine="fast")`` loop the sweep replaced.
+    ``run_spsta`` loop the sweep replaced.
     """
     from repro.core.scenario import (
         run_scenario_batch,

@@ -12,7 +12,7 @@ replicated tiles are analyzed once and their interface models translated
 to each clone's net names.
 
 Stitching is trivial by construction: every region's engine run is the
-unmodified fast engine seeded with the exact upstream boundary TOPs, so
+unmodified ``run_spsta`` seeded with the exact upstream boundary TOPs, so
 the union of the per-region results *is* the flat result (bit-exact for
 the closed-form algebras; grid within batch-regrouping rounding — policy
 ``hier-vs-flat``).
@@ -27,8 +27,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from repro.core.delay import DelayModel, UnitDelay
 from repro.core.inputs import InputStats, Prob4
 from repro.core.profiling import SpstaProfile
-from repro.core.spsta import NetTops, SpstaResult, launch_tops
-from repro.core.spsta_fast import run_spsta_fast
+from repro.core.spsta import NetTops, SpstaResult, launch_tops, run_spsta
 from repro.hier.model import (
     AlgebraSpec,
     InterfaceModel,
@@ -71,7 +70,7 @@ _Payload = Tuple[int, Netlist, Dict[str, PinState], AlgebraSpec,
 def _analyze_region(payload: _Payload
                     ) -> Tuple[int, Dict[str, PinState], float,
                                SpstaProfile]:
-    """Worker body: run the fast engine on one seeded region.
+    """Worker body: run ``run_spsta`` on one seeded region.
 
     Module-level and picklable so it survives the trip into a process
     pool; on the serial path it runs in-process with zero copies.
@@ -80,9 +79,8 @@ def _analyze_region(payload: _Payload
     algebra = spec.build()
     profile = SpstaProfile()
     t0 = time.perf_counter()
-    result = run_spsta_fast(sub, {}, delay_model, algebra,
-                            profile=profile, max_parity_fanin=parity_cap,
-                            seed_tops=seeds)
+    result = run_spsta(sub, {}, delay_model, algebra, profile=profile,
+                       max_parity_fanin=parity_cap, seed_tops=seeds)
     seconds = time.perf_counter() - t0
     kept = {net: (result.prob4[net], result.tops[net])
             for net in keep_nets}
@@ -174,7 +172,6 @@ def run_hier(netlist: Netlist,
     profile.engine = "hier"
     profile.algebra = type(algebra_spec.build()).__name__
     profile.circuit = netlist.name
-    profile.workers = workers
     algebra = algebra_spec.build()
     deadline_at = (None if deadline is None
                    else time.monotonic() + deadline)

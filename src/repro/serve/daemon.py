@@ -589,13 +589,20 @@ class _HttpHandler(BaseHTTPRequestHandler):
     daemon: Server  # injected by serve_http
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
-        length = int(self.headers.get("Content-Length", 0))
+        # The body is read only after its declared length checks out: a
+        # missing, non-integer or negative Content-Length would otherwise
+        # crash the handler or read to EOF past --max-request-bytes.
+        header = self.headers.get("Content-Length", "").strip()
+        if not (header.isascii() and header.isdigit()):
+            self._refuse(400, "bad-request",
+                         f"Content-Length must be a non-negative integer, "
+                         f"got {header!r}")
+            return
+        length = int(header)
         if length > self.daemon.options.max_request_bytes:
-            body = json.dumps(error_response(
-                None, "oversized-request",
-                f"request exceeds --max-request-bytes "
-                f"({self.daemon.options.max_request_bytes})")).encode()
-            self._reply(413, body)
+            self._refuse(413, "oversized-request",
+                         f"request exceeds --max-request-bytes "
+                         f"({self.daemon.options.max_request_bytes})")
             return
         raw = self.rfile.read(length).decode("utf-8", errors="replace")
         response = self.daemon.handle_text(raw)
@@ -604,6 +611,12 @@ class _HttpHandler(BaseHTTPRequestHandler):
         if self.daemon.shutdown_requested:
             threading.Thread(target=self.server.shutdown,
                              daemon=True).start()
+
+    def _refuse(self, status: int, code: str, message: str) -> None:
+        # The unread body makes the connection unusable for another request.
+        self.close_connection = True
+        self._reply(status, json.dumps(error_response(None, code,
+                                                      message)).encode())
 
     def _reply(self, status: int, body: bytes) -> None:
         self.send_response(status)

@@ -299,10 +299,10 @@ def kernel_retention_vector(kernel: GaussianKernel, n: int,
     Convolution truncated to the grid window and the trapezoid rule are
     both linear in the input row, so the integral of a convolved density —
     the per-term normalizer of the naive mix — is an inner product with a
-    fixed, kernel-dependent vector.  This lets the fast engine pre-mix all
-    terms sharing a delay kernel (dividing each by its exact retention)
-    and convolve the group once, instead of convolving every Eq. 11 term
-    separately just to measure its edge losses.
+    fixed, kernel-dependent vector.  This lets the compiled grid program
+    pre-mix all terms sharing a delay kernel (dividing each by its exact
+    retention) and convolve the group once, instead of convolving every
+    Eq. 11 term separately just to measure its edge losses.
 
     ``c`` composes the two linear stages of :func:`convolve_rows` — the
     windowed tap convolution, then the whole-bin mean shift: correlating
@@ -411,10 +411,10 @@ class GridDensity:
     def from_trusted(cls, grid: TimeGrid, values: np.ndarray) -> "GridDensity":
         """Wrap an array known to be a valid density (right shape, >= 0).
 
-        The batched fast path produces thousands of intermediate arrays from
-        operations that preserve non-negativity, so it skips the per-array
-        validation/clip of ``__init__`` (which profiles as a top cost of the
-        naive sweep).
+        The compiled grid program produces thousands of intermediate arrays
+        from operations that preserve non-negativity, so it skips the
+        per-array validation/clip of ``__init__`` (which profiles as a top
+        cost of the naive sweep).
         """
         density = cls.__new__(cls)
         density.grid = grid

@@ -1,8 +1,8 @@
 """Cross-engine differential conformance harness.
 
 The repo computes the same per-net arrival statistics five ways — moment,
-mixture, and grid TOP algebras, each through a naive and a fast engine,
-plus two Monte Carlo simulators.  This package sweeps every engine pair
+mixture, and grid TOP algebras, each through its production path and the
+naive reference sweep, plus two Monte Carlo simulators.  This package sweeps every engine pair
 over fuzzed random circuits and ISCAS benches under per-pair tolerance
 policies (:mod:`repro.verify.policies`), with Monte Carlo as the
 ground-truth oracle, and turns the stats layer's mass-conservation /

@@ -4,11 +4,12 @@ Every policy documents *why* two engines are allowed to differ and by how
 much; the harness fails a run the moment any compared quantity exceeds its
 policy.  Three regimes:
 
-- **replication** pairs (fast vs naive on the same algebra) share the
-  mathematics and differ only in evaluation order, so their tolerances are
-  rounding-level: bit-exact for the closed-form algebras, a few ULPs of
-  batched-SIMD division noise for the grid algebra (see
-  ``_run_controlling_jobs``).
+- **replication** pairs (the production path — "fast" in the pair names —
+  vs the naive reference on the same algebra) share the mathematics and
+  differ only in evaluation order, so their tolerances are rounding-level:
+  bit-exact for the closed-form algebras, a few ULPs of batched-SIMD
+  division noise for the compiled grid program (see
+  ``repro.core.scenario._run_controlling_jobs``).
 - **abstraction** pairs (moment / mixture vs the numerically exact grid)
   differ by Clark's moment-matching error on MAX/MIN, which grows with
   depth; tolerances follow the envelope measured across the evaluation
@@ -71,13 +72,13 @@ POLICIES: Dict[str, TolerancePolicy] = {
     policy.pair: policy for policy in (
         TolerancePolicy(
             pair="fast-vs-naive/moment",
-            description="Same Clark formulas, cached weight tables fold in "
-                        "the naive multiplication order: bit-exact.",
+            description="Production and reference share the per-gate "
+                        "kernel: bit-exact.",
             abs_probability=0.0, abs_mean=0.0, abs_std=0.0),
         TolerancePolicy(
             pair="fast-vs-naive/mixture",
-            description="Subset-lattice DP reproduces the naive "
-                        "left-to-right MAX folds exactly: bit-exact.",
+            description="As fast-vs-naive/moment — one per-gate kernel: "
+                        "bit-exact.",
             abs_probability=0.0, abs_mean=0.0, abs_std=0.0),
         TolerancePolicy(
             pair="fast-vs-naive/grid",
@@ -132,9 +133,9 @@ POLICIES: Dict[str, TolerancePolicy] = {
             min_occurrences=200, endpoints_only=True),
         TolerancePolicy(
             pair="batched-vs-fast/moment",
-            description="The scenario-batched backend replays the fast "
-                        "engine's closed-form fold sequence over shared "
-                        "group state: bit-exact.",
+            description="The scenario-batched backend replays "
+                        "run_spsta's per-gate closed-form folds over "
+                        "shared group state: bit-exact.",
             abs_probability=0.0, abs_mean=0.0, abs_std=0.0),
         TolerancePolicy(
             pair="batched-vs-fast/mixture",
@@ -158,7 +159,7 @@ POLICIES: Dict[str, TolerancePolicy] = {
             min_occurrences=200, endpoints_only=True),
         TolerancePolicy(
             pair="hier-vs-flat/moment",
-            description="Each region rerun is the unmodified fast engine "
+            description="Each region rerun is the unmodified run_spsta "
                         "seeded with exact upstream boundary TOPs, and "
                         "DFF cuts add no cross-region timing terms: "
                         "bit-exact.",
@@ -166,8 +167,8 @@ POLICIES: Dict[str, TolerancePolicy] = {
         TolerancePolicy(
             pair="hier-vs-flat/mixture",
             description="As hier-vs-flat/moment — region boundaries only "
-                        "reorder the per-gate fold boundaries the fast "
-                        "engine already uses: bit-exact.",
+                        "regroup gates whose per-gate folds are "
+                        "unchanged: bit-exact.",
             abs_probability=0.0, abs_mean=0.0, abs_std=0.0),
         TolerancePolicy(
             pair="incremental-vs-full/moment",
@@ -194,11 +195,11 @@ POLICIES: Dict[str, TolerancePolicy] = {
             abs_probability=0.0, abs_mean=0.0, abs_std=0.0),
         TolerancePolicy(
             pair="hier-vs-flat/grid",
-            description="Region boundaries regroup the grid engine's "
-                        "level batches exactly like the scenario-batched "
-                        "stacking; same bounds as batched-vs-fast/grid "
-                        "(measured deviation on the bundled benches: "
-                        "0.0).",
+            description="Region boundaries regroup the compiled grid "
+                        "program's level batches exactly like the "
+                        "scenario-batched stacking; same bounds as "
+                        "batched-vs-fast/grid (measured deviation on the "
+                        "bundled benches: 0.0).",
             abs_probability=1e-12, abs_mean=1e-9, abs_std=1e-9),
     )
 }

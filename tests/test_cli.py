@@ -101,11 +101,6 @@ class TestHierCommand:
                      if "SPSTA" in line or "signal probability" in line]
         assert hier_rows == flat_rows
 
-    def test_analyze_partition_rejects_naive_engine(self):
-        with pytest.raises(SystemExit, match="fast engine"):
-            main(["analyze", "s27", "--partition", "2",
-                  "--engine", "naive", "--trials", "0"])
-
 
 class TestConvertGenerateSlack:
     def test_convert_bench_to_verilog_and_back(self, tmp_path, capsys):

@@ -1,7 +1,7 @@
 """Differential, caching, and fault-tolerance tests for repro.hier.
 
 The headline property: a partitioned run merged over all regions IS the
-flat fast-engine run — bit-exact for the closed-form algebras, within
+flat run_spsta result — bit-exact for the closed-form algebras, within
 batch-regrouping rounding (1e-12 weights / 1e-9 moments) for the grid
 algebra — on every bundled bench and on random circuits at random
 partition counts.  On top of that, the interface-model cache must hit on
@@ -56,7 +56,7 @@ def _grid_for(netlist, bins_per_unit=8, margin=8.0):
 
 def assert_matches_flat(netlist, spec, *, n_regions, tol=EXACT,
                         delay_model=UnitDelay(), **kwargs):
-    """run_hier(keep='all') must reproduce the flat fast engine."""
+    """run_hier(keep='all') must reproduce the flat run_spsta."""
     run = run_hier(netlist, CONFIG_I, delay_model, spec,
                    n_regions=n_regions, keep="all", **kwargs)
     assert run.complete

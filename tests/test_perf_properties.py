@@ -13,12 +13,12 @@ import numpy as np
 
 from repro.core.delay import NormalDelay
 from repro.core.inputs import CONFIG_I
-from repro.core.spsta import MomentAlgebra, run_spsta
-from repro.core.spsta_fast import (
+from repro.core.scenario import (
     WeightTableCache,
     build_weight_table,
     subset_lattice,
 )
+from repro.core.spsta import MomentAlgebra, run_spsta
 from repro.logic.gates import GateType
 from repro.netlist.core import Gate, Netlist
 from repro.stats.grid import (
@@ -69,8 +69,8 @@ def test_weight_table_cache_serves_exact_match(switch, static):
 
 
 def test_weight_table_cache_rounded_key_collision():
-    """Two distinct vectors that round to the same 12-digit key share a
-    bucket but must each get their own exact table."""
+    """Two distinct vectors that agree to 12 digits must each get their
+    own exact table."""
     switch_a = (0.5, 0.25)
     switch_b = (0.5 + 2e-13, 0.25)
     assert switch_a != switch_b

@@ -387,6 +387,92 @@ class TestStdioTransport:
         assert json.loads(proc.stdout.strip())["ok"]
 
 
+# -- HTTP transport ----------------------------------------------------------
+
+@pytest.fixture()
+def http_daemon(monkeypatch):
+    """A live ``serve_http`` on an ephemeral port with a 64-byte request
+    cap; yields the bound ``(host, port)``."""
+    import threading
+
+    import repro.serve.daemon as daemon_module
+
+    started = threading.Event()
+    servers = []
+
+    class _Recording(daemon_module.ThreadingHTTPServer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            servers.append(self)
+            started.set()
+
+    monkeypatch.setattr(daemon_module, "ThreadingHTTPServer", _Recording)
+    thread = threading.Thread(
+        target=daemon_module.serve_http,
+        args=(Server(ServeOptions(max_request_bytes=64)), "127.0.0.1", 0),
+        daemon=True)
+    thread.start()
+    assert started.wait(10)
+    yield servers[0].server_address
+    servers[0].shutdown()
+    thread.join(10)
+
+
+def _raw_post(address, headers, body):
+    """Send one POST without closing the write side, so a server that
+    reads past the declared length blocks instead of hitting EOF; return
+    ``(status, envelope)``."""
+    import socket
+
+    with socket.create_connection(address, timeout=10) as sock:
+        head = "".join(f"{name}: {value}\r\n" for name, value in headers)
+        sock.sendall(f"POST / HTTP/1.1\r\nHost: x\r\n{head}\r\n"
+                     .encode() + body)
+        chunks = []
+        try:
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        except ConnectionResetError:
+            pass    # closed with a refused body still unread
+    reply = b"".join(chunks).decode()
+    assert reply, "connection closed without a response"
+    head, _, body = reply.partition("\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+class TestHttpTransport:
+    def test_negative_content_length_is_refused_unread(self, http_daemon):
+        status, envelope = _raw_post(http_daemon, [("Content-Length", "-1")],
+                                     b"x" * 500)
+        assert status == 400
+        assert envelope["error"]["code"] == "bad-request"
+
+    def test_non_integer_content_length_is_refused(self, http_daemon):
+        status, envelope = _raw_post(http_daemon, [("Content-Length", "abc")],
+                                     b"{}")
+        assert status == 400
+        assert envelope["error"]["code"] == "bad-request"
+
+    def test_missing_content_length_is_refused(self, http_daemon):
+        status, envelope = _raw_post(http_daemon, [], b"")
+        assert status == 400
+        assert envelope["error"]["code"] == "bad-request"
+
+    def test_oversized_and_valid_requests(self, http_daemon):
+        status, envelope = _raw_post(http_daemon, [("Content-Length", "500")],
+                                     b"x" * 500)
+        assert status == 413
+        assert envelope["error"]["code"] == "oversized-request"
+        body = json.dumps({"v": PROTOCOL_VERSION, "id": 1,
+                           "op": "status"}).encode()
+        status, envelope = _raw_post(
+            http_daemon, [("Content-Length", str(len(body)))], body)
+        assert status == 200 and envelope["ok"]
+
+
 # -- status ------------------------------------------------------------------
 
 class TestStatus:

@@ -1,25 +1,24 @@
-"""Differential tests pinning the fast SPSTA engine to the naive reference.
+"""Differential tests pinning ``run_spsta``'s production path to the naive
+reference (``engine="naive"``).
 
-The fast engine (:mod:`repro.core.spsta_fast`) must be a pure optimization:
-same inputs, same results.  The contract is graded per algebra:
+The production path must be a pure optimization: same inputs, same
+results.  The contract is graded per algebra:
 
-- :class:`MomentAlgebra` / :class:`MixtureAlgebra`: bit-exact.  The fast
-  path folds the same factors in the same order (cached weight tables,
-  subset-lattice DP matching the naive pairwise fold order).
-- :class:`GridAlgebra`: equal within discretization rounding.  Batched
-  normalization, retention-vector pre-mixing, and FFT convolution reorder
-  floating-point reductions, so weights are compared to 1e-12 absolute
-  (parity gates also sum 3^k instead of 4^k terms — a deliberate
-  refactoring worth a ULP) and conditional moments to 1e-9 relative.
-- ``workers > 1`` (grid only): identical grouping of row operations, but
-  NumPy's SIMD elementwise division is not guaranteed correctly rounded on
-  every platform, so worker counts are pinned to a few-ULP absolute band
-  rather than bit equality (see the ``_run_controlling_jobs`` docstring).
+- :class:`MomentAlgebra` / :class:`MixtureAlgebra`: bit-exact.  Both
+  settings run the same per-gate kernel.
+- :class:`GridAlgebra`: equal within discretization rounding.  The
+  compiled program (:mod:`repro.core.scenario`) batches normalization,
+  pre-mixes terms with their convolution retention and convolves by FFT,
+  which reorders floating-point reductions, so weights are compared to
+  1e-12 absolute (parity gates also sum 3^k instead of 4^k terms — a
+  deliberate refactoring worth a ULP) and conditional moments to 1e-9
+  relative.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import itertools
+
 import pytest
 
 from repro.core.delay import MisDelay, NormalDelay, UnitDelay
@@ -35,6 +34,7 @@ from repro.netlist.benchmarks import benchmark_circuit
 from repro.netlist.core import Gate, Netlist
 from repro.netlist.transform import decompose_fanin
 from repro.stats.grid import TimeGrid
+from repro.verify.policies import POLICIES
 
 CIRCUITS = ("s27", "s298", "s386")
 DELAYS = (UnitDelay(), NormalDelay(1.0, 0.1), MisDelay())
@@ -135,28 +135,37 @@ def test_grid_parity_gates_close():
     _assert_grid_close(fast, naive)
 
 
-def test_grid_workers_match_serial():
-    """A worker pool must only re-chunk the per-level batches, never change
-    the math.  Bit equality is not promised (SIMD division rounding varies
-    per process); a zero-rtol absolute band of 1e-12 on densities and
-    weights is far below any quantity the analysis reports."""
-    netlist = benchmark_circuit("s298")
+def test_grid_seed_tops_match_naive():
+    """Seeded launch points (the hierarchical boundary hook) must drive
+    the compiled grid program as they drive the naive sweep, within the
+    ``fast-vs-naive/grid`` conformance policy."""
+    policy = POLICIES["fast-vs-naive/grid"]
     delay = NormalDelay(1.0, 0.1)
-    serial = run_spsta(netlist, CONFIG_I, delay, GridAlgebra(GRID),
-                       engine="fast", workers=1)
-    pooled = run_spsta(netlist, CONFIG_I, delay, GridAlgebra(GRID),
-                       engine="fast", workers=2)
-    for net in serial.tops:
+    donor = benchmark_circuit("s27")
+    upstream = run_spsta(donor, CONFIG_I, delay, GridAlgebra(GRID),
+                         engine="naive")
+    donors = [gate.name for gate in donor.combinational_gates]
+    netlist = benchmark_circuit("s298")
+    seeds = {net: (upstream.prob4[src], upstream.tops[src])
+             for net, src in zip(netlist.launch_points[::2],
+                                 itertools.cycle(donors))}
+    fast = run_spsta(netlist, CONFIG_I, delay, GridAlgebra(GRID),
+                     seed_tops=seeds)
+    naive = run_spsta(netlist, CONFIG_I, delay, GridAlgebra(GRID),
+                      engine="naive", seed_tops=seeds)
+    assert set(fast.tops) == set(naive.tops)
+    for net, (prob4, tops) in seeds.items():
+        assert naive.tops[net] is tops
+        assert fast.prob4[net] == prob4
+    for net in naive.tops:
         for direction in ("rise", "fall"):
-            a = getattr(serial.tops[net], direction)
-            b = getattr(pooled.tops[net], direction)
-            assert np.isclose(a.weight, b.weight, rtol=0, atol=1e-12), \
-                (net, direction)
-            assert a.occurs == b.occurs, (net, direction)
-            if a.occurs:
-                assert np.allclose(a.conditional.values,
-                                   b.conditional.values,
-                                   rtol=0, atol=1e-12), (net, direction)
+            p_fast, mean_fast, std_fast = fast.report(net, direction)
+            p_naive, mean_naive, std_naive = naive.report(net, direction)
+            assert abs(p_fast - p_naive) <= policy.abs_probability, net
+            assert (p_fast > 0.0) == (p_naive > 0.0), (net, direction)
+            if p_naive > 0.0:
+                assert abs(mean_fast - mean_naive) <= policy.abs_mean
+                assert abs(std_fast - std_naive) <= policy.abs_std
 
 
 @pytest.mark.parametrize("engine", ["fast", "naive"])

@@ -1,25 +1,43 @@
-"""Incremental SPSTA — worklist re-timing for the TOP-function engines.
+"""Incremental SPSTA — level-batched worklist re-timing for every algebra.
 
 :class:`repro.core.incremental.IncrementalSsta` delivers the paper's
 "incremental, suitable for optimization" property (Sec. 1) for the SSTA
-baseline only.  This module generalizes the same heapq-worklist pattern to
-the SPSTA engines: after a local delay change (a gate resize, a derate
+baseline only.  This module generalizes the same worklist pattern to the
+SPSTA engines: after a local delay change (a gate resize, a derate
 perturbation), only the affected fan-out cone's TOP functions are
 re-evaluated, and propagation stops early at gates whose recomputed TOPs
 come out unchanged.
 
-Two properties make the incremental result *provably identical* to a fresh
-full pass (and the conformance harness checks it, see
-``repro.verify.policies`` pairs ``incremental-vs-full/*``):
+Each algebra repairs on its own production kernel:
+
+- the closed-form algebras (moments, mixtures) call the per-gate kernel
+  :func:`repro.core.spsta._gate_tops`, the one ``run_spsta`` sweeps;
+- :class:`~repro.core.spsta.GridAlgebra` runs the compiled program of
+  :mod:`repro.core.scenario` with one scenario.  The netlist is compiled
+  once per instance; the build is one full pass of the program (the
+  driver ``run_spsta``, sweeps and hier share), and a repair runs the
+  dirty gates of each level through the program's level step
+  (:meth:`~repro.core.scenario.GridGroup.run_level`) in one vectorized
+  call.
+
+The worklist is keyed by logic level: a level's gates are mutually
+independent, so all of its dirty gates re-time together, and levels pop
+in increasing order, so a gate is recomputed only after every changed
+input has been repaired.
+
+Two properties make the incremental result *identical* to a fresh full
+pass (the conformance harness checks it, see ``repro.verify.policies``
+pairs ``incremental-vs-full/*``, and ``tests/test_incremental_spsta.py``
+pins it for the grid program):
 
 - a gate's four-value probabilities (:func:`~repro.core.probability.
   gate_prob4`) depend only on input probabilities, never on delays, so a
   delay-only change leaves every ``Prob4`` untouched and only TOP functions
   need repair;
-- each repaired gate calls the *same* per-gate kernel the naive engine
-  uses (:func:`repro.core.spsta._gate_tops`) on the same inputs, and the
-  min-heap pops gates in topological rank order, so a gate is recomputed
-  only after every changed input has been repaired.
+- each repaired gate runs the *same* kernel a full pass runs on the same
+  inputs — for the grid program every row operation of the level step
+  acts on one row's own data, so re-timing a subset of a level yields
+  the full pass's values for those gates.
 
 With the default ``tolerance=0.0`` the early-termination test is exact
 equality, so stopping cannot hide a real change: the repaired state is
@@ -44,6 +62,7 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Sequence,
     Set,
     Tuple,
     TypeVar,
@@ -56,8 +75,17 @@ from repro.core.delay import DelayModel, UnitDelay
 from repro.core.incremental import UpdateStats
 from repro.core.inputs import InputStats, Prob4
 from repro.core.probability import gate_prob4
+from repro.core.profiling import SpstaProfile
+from repro.core.scenario import (
+    DirState,
+    GridGroup,
+    WeightTableCache,
+    compile_netlist,
+    read_nets,
+)
 from repro.core.spsta import (
     MAX_PARITY_FANIN,
+    GridAlgebra,
     MomentAlgebra,
     NetTops,
     SpstaResult,
@@ -73,6 +101,10 @@ from repro.stats.mixture import GaussianMixture
 from repro.stats.normal import Normal
 
 D = TypeVar("D")
+
+#: One re-timed gate: its name, new TOPs, and (grid program only) the
+#: ``(rise, fall)`` states to store back into the program's blocks.
+_Retimed = Tuple[str, NetTops, Optional[Tuple[DirState, DirState]]]
 
 
 class IncrementalSpsta(Generic[D]):
@@ -104,8 +136,18 @@ class IncrementalSpsta(Generic[D]):
         validate_parity_fanins(netlist, self._parity_cap)
         self._overrides: Dict[str, Normal] = {}
         self._model = _OverrideDelays(delay_model, self._overrides)
-        self._order = {g.name: i
-                       for i, g in enumerate(netlist.combinational_gates)}
+        # (level, position in level) of every combinational gate: the
+        # worklist's batching key.
+        self._where: Dict[str, Tuple[int, int]] = {
+            gate.name: (li, pos)
+            for li, level in enumerate(netlist.levels)
+            for pos, gate in enumerate(level)}
+        self._compiled = (compile_netlist(netlist,
+                                          max_parity_fanin=self._parity_cap)
+                          if isinstance(self.algebra, GridAlgebra) else None)
+        self._wcache = WeightTableCache()
+        self._profile = SpstaProfile()
+        self._grid: Optional[GridGroup] = None
         self.prob4: Dict[str, Prob4] = {}
         self.tops: Dict[str, NetTops[D]] = {}
         self.full_recompute()
@@ -121,18 +163,18 @@ class IncrementalSpsta(Generic[D]):
         (``benchmarks/test_bench_opt.py``) measures the incremental path
         against.  Both repairs land in the identical state.
         """
-        if gate_name not in self._order:
+        if gate_name not in self._where:
             raise KeyError(f"{gate_name} is not a combinational gate")
         self._overrides[gate_name] = delay
         if full:
             self.full_recompute()
-            n = len(self._order)
+            n = len(self._where)
             return UpdateStats(recomputed=n, skipped=0, cone_size=n)
         return self.update_gate(gate_name)
 
     def clear_delay(self, gate_name: str) -> UpdateStats:
         """Drop a gate's override (back to the base model) and repair."""
-        if gate_name not in self._order:
+        if gate_name not in self._where:
             raise KeyError(f"{gate_name} is not a combinational gate")
         self._overrides.pop(gate_name, None)
         return self.update_gate(gate_name)
@@ -151,48 +193,80 @@ class IncrementalSpsta(Generic[D]):
     def update_gate(self, gate_name: str) -> UpdateStats:
         """Re-evaluate ``gate_name`` and propagate only real changes.
 
-        The worklist is a min-heap keyed by topological rank (the
-        :class:`~repro.core.incremental.IncrementalSsta` pattern): every
-        pop is O(log cone), and a gate is popped only after all of its
-        already-queued fan-in repairs.  A gate whose recomputed TOPs match
-        the stored ones (exactly, at the default tolerance 0) does not
-        enqueue its fanouts.
+        The worklist holds dirty gates per logic level and pops levels in
+        increasing order; each pop re-times all of that level's dirty
+        gates in one batch (one vectorized level step for the grid
+        program).  A gate whose recomputed TOPs match the stored ones
+        (exactly, at the default tolerance 0) does not mark its fanouts
+        dirty.
         """
-        if gate_name not in self._order:
+        if gate_name not in self._where:
             raise KeyError(f"{gate_name} is not a combinational gate")
-        heap: List[Tuple[int, str]] = [(self._order[gate_name], gate_name)]
-        queued: Set[str] = {gate_name}
-        cone: Set[str] = set()
+        li, pos = self._where[gate_name]
+        dirty: Dict[int, Set[int]] = {li: {pos}}
+        pending: List[int] = [li]
         recomputed = 0
         skipped = 0
-        while heap:
-            _, current = heapq.heappop(heap)
-            queued.discard(current)
-            cone.add(current)
-            gate = self.netlist.gates[current]
+        while pending:
+            li = heapq.heappop(pending)
+            for name, new_tops, dirs in self._retime(li,
+                                                     sorted(dirty.pop(li))):
+                recomputed += 1
+                if self._unchanged(self.tops[name], new_tops):
+                    skipped += 1
+                    continue
+                self.tops[name] = new_tops
+                if self._grid is not None and dirs is not None:
+                    self._grid.store(name, dirs)
+                for sink in self.netlist.fanouts(name):
+                    where = self._where.get(sink)
+                    if where is None:   # DFF: the cycle boundary
+                        continue
+                    if where[0] not in dirty:
+                        dirty[where[0]] = set()
+                        heapq.heappush(pending, where[0])
+                    dirty[where[0]].add(where[1])
+        return UpdateStats(recomputed=recomputed, skipped=skipped,
+                           cone_size=recomputed)
+
+    def _retime(self, li: int, positions: Sequence[int]) -> List[_Retimed]:
+        """New TOPs of the gates at ``positions`` of level ``li``."""
+        if self._grid is not None:
+            group = self._grid
+            records = [group.compiled.levels[li][p] for p in positions]
+            return [(record.gate.name, group.dir_tops(dirs, 0), dirs)
+                    for record, dirs in zip(
+                        records, group.run_level(records,
+                                                 read_nets(records)))]
+        level = self.netlist.levels[li]
+        out: List[_Retimed] = []
+        for p in positions:
+            gate = level[p]
             in_probs = [self.prob4[src] for src in gate.inputs]
             in_tops = [self.tops[src] for src in gate.inputs]
-            new_tops = _gate_tops(gate, in_probs, in_tops, self._model,
-                                  self.algebra, self._parity_cap)
-            recomputed += 1
-            if self._unchanged(self.tops[current], new_tops):
-                skipped += 1
-                continue
-            self.tops[current] = new_tops
-            for sink in self.netlist.fanouts(current):
-                # skip DFFs (cycle boundary) and already-queued sinks
-                if sink in self._order and sink not in queued:
-                    queued.add(sink)
-                    heapq.heappush(heap, (self._order[sink], sink))
-        return UpdateStats(recomputed=recomputed, skipped=skipped,
-                           cone_size=len(cone))
+            out.append((gate.name,
+                        _gate_tops(gate, in_probs, in_tops, self._model,
+                                   self.algebra, self._parity_cap),
+                        None))
+        return out
 
     def full_recompute(self) -> None:
         """Reference full pass (initialisation, testing, resync).
 
-        Identical math to ``run_spsta(engine="naive")``: shared launch
-        seeding plus the shared per-gate kernel in topological order.
+        The same math as ``run_spsta``: for :class:`GridAlgebra` one full
+        pass of the compiled program over the instance's compiled
+        netlist; otherwise shared launch seeding plus the shared per-gate
+        kernel in topological order.
         """
+        if self._compiled is not None:
+            group = GridGroup(self._compiled, self._stats, [self._model],
+                              self.algebra,  # type: ignore[arg-type]
+                              self._wcache, self._profile)
+            group.run()
+            self._grid = group
+            self.prob4 = group.prob4
+            self.tops = group.tops(0)
+            return
         prob4: Dict[str, Prob4] = {}
         tops: Dict[str, NetTops[D]] = {}
         launch_tops(self.netlist, self._stats, self.algebra, prob4, tops)
@@ -276,9 +350,9 @@ def fresh_algebra_like(algebra: TopAlgebra[D]) -> TopAlgebra[D]:
 
 def assert_matches_full(inc: IncrementalSpsta[D],
                         tolerance: float = 0.0) -> int:
-    """Check the incremental state against a fresh naive full pass.
+    """Check the incremental state against a fresh full pass.
 
-    Runs ``run_spsta(engine="naive")`` over :meth:`IncrementalSpsta.
+    Runs the production ``run_spsta`` over :meth:`IncrementalSpsta.
     effective_delay_model` with a fresh identically-configured algebra and
     compares every net's TOPs at ``tolerance`` (default: bit-exact).
     Returns the number of nets compared; raises
@@ -290,7 +364,7 @@ def assert_matches_full(inc: IncrementalSpsta[D],
     from repro.core.spsta import run_spsta
     full = run_spsta(inc.netlist, inc._stats,
                      inc.effective_delay_model(),
-                     fresh_algebra_like(inc.algebra), engine="naive")
+                     fresh_algebra_like(inc.algebra))
     divergent: List[str] = []
     for net, expected in full.tops.items():
         got = inc.tops.get(net)
@@ -319,13 +393,18 @@ class _OverrideDelays:
 
     Overridden gates return their override for *every* switching-input
     count (an explicit move pins the delay); other gates delegate to the
-    base model, preserving its MIS behaviour if it has one.
+    base model, preserving its MIS behaviour if it has one.  The
+    ``delay_mis`` hook exists only when the base model has one: engines
+    pick their MIS-aware path by its presence, so an override stack over
+    a constant-delay model must run exactly like that model itself.
     """
 
     def __init__(self, base: DelayModel,
                  overrides: Dict[str, Normal]) -> None:
         self.base = base
         self._overrides = overrides
+        if hasattr(base, "delay_mis"):
+            self.delay_mis = self._delay_mis
 
     def fingerprint_payload(self) -> object:
         """Canonical identity for :func:`repro.sim.checkpoint.
@@ -340,10 +419,8 @@ class _OverrideDelays:
             return override
         return self.base.delay(gate)
 
-    def delay_mis(self, gate, n_switching: int) -> Normal:
+    def _delay_mis(self, gate, n_switching: int) -> Normal:
         override = self._overrides.get(gate.name)
         if override is not None:
             return override
-        if hasattr(self.base, "delay_mis"):
-            return self.base.delay_mis(gate, n_switching)
-        return self.base.delay(gate)
+        return self.base.delay_mis(gate, n_switching)

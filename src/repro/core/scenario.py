@@ -42,6 +42,13 @@ the compiled program:
   across all scenarios, go through one kernel-grouped FFT batch and one
   run-length segment mix.
 
+All of this is one level step, :meth:`GridGroup.run_level`, which
+re-times any subset of a level's gates against the group's current
+density blocks.  A full pass runs it over every gate of every level;
+:class:`~repro.core.incremental_spsta.IncrementalSpsta` grid sessions
+build with that full pass and repair an edit's cone by running it over
+each level's dirty gates only.
+
 Closed-form algebras cannot reorder their scalar folds without losing
 the repo's bit-exactness contract, so they run the per-gate kernel
 (``repro.core.spsta._gate_tops``) for each scenario over shared
@@ -251,8 +258,6 @@ def compile_netlist(netlist: Netlist, *,
     last_use: Dict[str, int] = {}
     for li, level in enumerate(netlist.levels):
         records = []
-        seen: List[str] = []
-        seen_set = set()
         for gate in level:
             spec = gate_spec(gate.gate_type)
             if gate.gate_type in (GateType.BUFF, GateType.NOT):
@@ -265,11 +270,8 @@ def compile_netlist(netlist: Netlist, *,
                                       spec.controlling_value == 0))
             for src in gate.inputs:
                 last_use[src] = li
-                if src not in seen_set:
-                    seen_set.add(src)
-                    seen.append(src)
         levels.append(tuple(records))
-        level_nets.append(tuple(seen))
+        level_nets.append(read_nets(records))
     return CompiledNetlist(netlist, parity_cap, tuple(levels),
                            tuple(level_nets), last_use)
 
@@ -919,59 +921,109 @@ _Blocks = Dict[Tuple[str, int], Optional[np.ndarray]]
 #: ``(total, expected, [(delay, row), ...])`` terms tuple.
 _DirItems = Optional[List[object]]
 
+#: One re-timed gate direction: occurrence weight and its
+#: ``(n_scenarios, bins)`` block (``(0.0, None)`` when it never occurs).
+DirState = Tuple[float, Optional[np.ndarray]]
 
-def _run_grid_group(compiled: CompiledNetlist, stats, models,
-                    algebra: GridAlgebra, wcache: WeightTableCache,
-                    profile: SpstaProfile, keep: str,
-                    seeds: Optional[Mapping[str, Tuple[Prob4, NetTops]]]
-                    = None) -> _GroupOut:
-    """Grid scenarios of one stats group as one stacked sweep.
 
-    ``seeds`` pre-seeds launch points with given ``(Prob4, NetTops)``
-    pairs (see :func:`~repro.core.spsta.launch_tops`).
+class GridGroup:
+    """Execution state of the compiled program for one stats group.
+
+    Holds the group's launch seeding, every net's four-value
+    probabilities (delay-independent, computed once) and the
+    per-(net, direction) occurrence weights and ``(n_scenarios, bins)``
+    density blocks.  :meth:`run_level` is the program's one level step:
+    it re-times any subset of a level's gate records against the current
+    blocks.  A full pass (:meth:`run`) is that step over every record of
+    every level; :class:`~repro.core.incremental_spsta.IncrementalSpsta`
+    repairs call it with only the dirty records of a level.  Every row
+    operation of the step acts on one row's own data, so a subset step
+    gives its gates the values a full pass gives them (pinned bit for
+    bit by ``tests/test_incremental_spsta.py`` and the
+    ``incremental-vs-full/grid`` policy).
     """
-    netlist = compiled.netlist
-    grid = algebra.grid
-    n = grid.n
-    dt = grid.dt
-    b = len(models)
-    ctx = _GridContext(grid=grid, kernel_cache=algebra.kernel_cache,
-                       wcache=wcache, parity_cap=compiled.parity_cap,
-                       profile=profile)
-    any_mis = any(hasattr(model, "delay_mis") for model in models)
-    gate_delays = None if any_mis else _group_gate_delays(models)
-    prob4: Dict[str, Prob4] = {}
-    launch: Dict[str, NetTops] = {}
-    with profile.phase("launch"):
-        launch_tops(netlist, stats, algebra, prob4, launch, seeds=seeds)
-    weights: Dict[Tuple[str, int], float] = {}
-    blocks: _Blocks = {}
-    for net, tops in launch.items():
-        for d, top in ((0, tops.rise), (1, tops.fall)):
-            weights[(net, d)] = top.weight
-            blocks[(net, d)] = (
-                np.broadcast_to(top.conditional.values, (b, n))
-                if top.occurs else None)
-    endpoints = frozenset(netlist.endpoints)
 
-    for li, level in enumerate(compiled.levels):
-        for record in level:
-            gate = record.gate
-            prob4[gate.name] = gate_prob4(
-                gate.gate_type, [prob4[src] for src in gate.inputs])
+    def __init__(self, compiled: CompiledNetlist, stats, models,
+                 algebra: GridAlgebra, wcache: WeightTableCache,
+                 profile: SpstaProfile,
+                 seeds: Optional[Mapping[str, Tuple[Prob4, NetTops]]]
+                 = None) -> None:
+        netlist = compiled.netlist
+        self.compiled = compiled
+        self.models = list(models)
+        self.b = b = len(self.models)
+        self.grid = algebra.grid
+        self.ctx = _GridContext(grid=self.grid,
+                                kernel_cache=algebra.kernel_cache,
+                                wcache=wcache, parity_cap=compiled.parity_cap,
+                                profile=profile)
+        self.any_mis = any(hasattr(model, "delay_mis")
+                           for model in self.models)
+        self.gate_delays = (None if self.any_mis
+                            else _group_gate_delays(self.models))
+        prob4: Dict[str, Prob4] = {}
+        launch: Dict[str, NetTops] = {}
+        with profile.phase("launch"):
+            launch_tops(netlist, stats, algebra, prob4, launch, seeds=seeds)
+        self.weights: Dict[Tuple[str, int], float] = {}
+        self.blocks: _Blocks = {}
+        n = self.grid.n
+        for net, tops in launch.items():
+            for d, top in ((0, tops.rise), (1, tops.fall)):
+                self.weights[(net, d)] = top.weight
+                self.blocks[(net, d)] = (
+                    np.broadcast_to(top.conditional.values, (b, n))
+                    if top.occurs else None)
+        for level in compiled.levels:
+            for record in level:
+                gate = record.gate
+                prob4[gate.name] = gate_prob4(
+                    gate.gate_type, [prob4[src] for src in gate.inputs])
+        self.prob4 = prob4
+        self.names = list(launch)
+        self.names.extend(record.gate.name for level in compiled.levels
+                          for record in level)
 
+    def run(self, keep: str = "all") -> None:
+        """Full pass: every record of every level, in level order.
+
+        ``keep="endpoints"`` frees each interior net's blocks right after
+        the last level that reads it.
+        """
+        compiled = self.compiled
+        endpoints = frozenset(compiled.netlist.endpoints)
+        for li, level in enumerate(compiled.levels):
+            for record, dirs in zip(level, self.run_level(
+                    level, compiled.level_nets[li])):
+                self.store(record.gate.name, dirs)
+            if keep == "endpoints":
+                for net in compiled.level_nets[li]:
+                    if (compiled.last_use.get(net) == li
+                            and net not in endpoints):
+                        self.blocks.pop((net, 0), None)
+                        self.blocks.pop((net, 1), None)
+
+    def run_level(self, records: Sequence[GateRecord],
+                  nets: Sequence[str]
+                  ) -> List[Tuple[DirState, DirState]]:
+        """Re-time ``records`` (gates of one level) in one vectorized step.
+
+        ``nets`` lists the nets the records read, in first-reference
+        order (:func:`read_nets`).  Returns each record's new
+        ``(rise, fall)`` states without storing them.
+        """
+        ctx = self.ctx
+        profile = ctx.profile
+        b = self.b
         with profile.phase("subset-eval"):
-            prep = _prepare_blocks(compiled.level_nets[li], blocks, b, dt)
+            prep = _prepare_blocks(nets, self.blocks, b, self.grid.dt)
             pending: List[_ControllingJob] = []
             templates: Optional[List[_SubsetTemplate]] = (
-                None if any_mis else [])
-            gate_dirs: List[Tuple[str, Tuple[object, object]]] = []
-            for record in level:
-                gate_dirs.append(
-                    (record.gate.name,
-                     _phase_a_gate(record, prob4, weights, prep, models,
-                                   b, ctx, pending, templates,
-                                   gate_delays)))
+                None if self.any_mis else [])
+            gate_dirs = [_phase_a_gate(record, self.prob4, self.weights,
+                                       prep, self.models, b, ctx, pending,
+                                       templates, self.gate_delays)
+                         for record in records]
             if templates:
                 _run_subset_templates(templates, b, ctx)
             _run_controlling_jobs(pending, ctx)
@@ -982,14 +1034,16 @@ def _run_grid_group(compiled: CompiledNetlist, stats, models,
             delays: List[Normal] = []
             counts: List[int] = []
             expected: List[float] = []
-            order: List[Tuple[str, int]] = []
+            outs: List[List[DirState]] = []
+            order: List[Tuple[int, int]] = []
             ones_b = [1] * b
-            for name, dirs in gate_dirs:
+            for gi, dirs in enumerate(gate_dirs):
+                out: List[DirState] = [(0.0, None), (0.0, None)]
+                outs.append(out)
                 for direction, items in enumerate(dirs):
                     if items is None:
-                        weights[(name, direction)] = 0.0
-                        blocks[(name, direction)] = None
                         continue
+                    order.append((gi, direction))
                     if isinstance(items, _SubsetTemplate):
                         items = items.items
                     if isinstance(items, _DirBlock):
@@ -997,8 +1051,7 @@ def _run_grid_group(compiled: CompiledNetlist, stats, models,
                         delays.extend(items.delays)
                         counts.extend(ones_b)
                         expected.extend([items.expected] * b)
-                        weights[(name, direction)] = items.total
-                        order.append((name, direction))
+                        out[direction] = (items.total, None)
                         continue
                     total = None
                     for item in items:
@@ -1015,44 +1068,63 @@ def _run_grid_group(compiled: CompiledNetlist, stats, models,
                             rows.append(row)
                         if total is None:
                             total = seg_total
-                    weights[(name, direction)] = total
-                    order.append((name, direction))
+                    out[direction] = (total, None)
 
         if rows:
             with profile.phase("convolve"):
-                out = _convolve_matrix(np.vstack(rows), delays, ctx)
+                conv = _convolve_matrix(np.vstack(rows), delays, ctx)
             with profile.phase("mix"):
-                mixed = _mix_rows(out, counts, np.asarray(expected), ctx)
-            seg = 0
-            for name, direction in order:
-                blocks[(name, direction)] = mixed[seg:seg + b].copy()
-                seg += b
-        profile.gates_processed += len(level) * b
+                mixed = _mix_rows(conv, counts, np.asarray(expected), ctx)
+            for seg, (gi, direction) in enumerate(order):
+                outs[gi][direction] = (outs[gi][direction][0],
+                                       mixed[seg * b:(seg + 1) * b].copy())
+        profile.gates_processed += len(records) * b
+        return [(rise, fall) for rise, fall in outs]
 
-        if keep == "endpoints":
-            for net in compiled.level_nets[li]:
-                if (compiled.last_use.get(net) == li
-                        and net not in endpoints):
-                    blocks.pop((net, 0), None)
-                    blocks.pop((net, 1), None)
+    def store(self, name: str, dirs: Tuple[DirState, DirState]) -> None:
+        """Make ``dirs`` (from :meth:`run_level`) the state of ``name``."""
+        for direction, (weight, block) in enumerate(dirs):
+            self.weights[(name, direction)] = weight
+            self.blocks[(name, direction)] = block
 
-    names = list(launch)
-    names.extend(record.gate.name for level in compiled.levels
-                 for record in level)
-    kept = [name for name in names if (name, 0) in blocks]
-    out: _GroupOut = []
-    for s in range(b):
-        tops_s: Dict[str, NetTops] = {}
-        for name in kept:
-            rise_blk = blocks[(name, 0)]
-            fall_blk = blocks[(name, 1)]
-            tops_s[name] = NetTops(
-                _wrap_top(grid, (weights[(name, 0)], rise_blk[s])
-                          if rise_blk is not None else None),
-                _wrap_top(grid, (weights[(name, 1)], fall_blk[s])
-                          if fall_blk is not None else None))
-        out.append((prob4, tops_s))
-    return out
+    def dir_tops(self, dirs: Tuple[DirState, DirState], s: int) -> NetTops:
+        """Scenario ``s``'s TOPs of one net's ``(rise, fall)`` states
+        (views of the blocks)."""
+        return NetTops(*(
+            _wrap_top(self.grid, (weight, block[s])
+                      if block is not None else None)
+            for weight, block in dirs))
+
+    def tops(self, s: int) -> Dict[str, NetTops]:
+        """Scenario ``s``'s TOPs of every net still held."""
+        weights = self.weights
+        blocks = self.blocks
+        return {name: self.dir_tops(
+                    ((weights[(name, 0)], blocks[(name, 0)]),
+                     (weights[(name, 1)], blocks[(name, 1)])), s)
+                for name in self.names if (name, 0) in blocks}
+
+
+def read_nets(records: Sequence[GateRecord]) -> Tuple[str, ...]:
+    """The nets ``records`` read, in first-reference order."""
+    return tuple(dict.fromkeys(src for record in records
+                               for src in record.gate.inputs))
+
+
+def _run_grid_group(compiled: CompiledNetlist, stats, models,
+                    algebra: GridAlgebra, wcache: WeightTableCache,
+                    profile: SpstaProfile, keep: str,
+                    seeds: Optional[Mapping[str, Tuple[Prob4, NetTops]]]
+                    = None) -> _GroupOut:
+    """Grid scenarios of one stats group as one stacked sweep.
+
+    ``seeds`` pre-seeds launch points with given ``(Prob4, NetTops)``
+    pairs (see :func:`~repro.core.spsta.launch_tops`).
+    """
+    group = GridGroup(compiled, stats, models, algebra, wcache, profile,
+                      seeds)
+    group.run(keep)
+    return [(group.prob4, group.tops(s)) for s in range(group.b)]
 
 
 def _prepare_blocks(nets: Sequence[str], blocks: _Blocks, b: int,

@@ -13,10 +13,14 @@ re-paying full-analysis cost:
   effective delay model, algebra, request shape), so identical queries
   return bit-identical payloads without touching the engines;
 - a delay ``edit`` re-times only the dirty fan-out cone via the
-  worklist engine (the PR 8 :class:`IncrementalSpsta` — provably
+  level-batched worklist of :class:`IncrementalSpsta` (provably
   bit-exact against a fresh full pass), after which new queries compute
   against the edited state and *old* cached results remain valid under
-  their own delay fingerprint;
+  their own delay fingerprint.  Each session builds and repairs on its
+  algebra's ``run_spsta`` production path: grid sessions on the compiled
+  program of :mod:`repro.core.scenario` (compiled once per session, one
+  vectorized level step per dirty level), moment and mixture sessions
+  on the per-gate kernel;
 - a structural ``edit`` (new ``.bench`` source) falls back to a full
   rebuild of that circuit's state — structure changes invalidate
   everything the fingerprints say they invalidate, and nothing more.

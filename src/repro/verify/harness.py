@@ -460,10 +460,10 @@ def verify_circuit(netlist: Netlist,
 
     # The incremental SPSTA engine: replay an optimizer-style move
     # schedule (overrides spread across the topological order, plus one
-    # revert) through the worklist repair, then rerun a fresh naive full
-    # pass over the *same* effective delays.  The incremental-vs-full
+    # revert) through the worklist repair, then rerun a fresh production
+    # full pass over the *same* effective delays.  The incremental-vs-full
     # policies are bit-exact for every algebra, which is what licenses
-    # `optimize_spsta` to trust per-move cone repair.
+    # `optimize_spsta` and the serve daemon to trust per-move cone repair.
     incremental_runs: Dict[str, Tuple[SpstaResult, SpstaResult]] = {}
     schedule = _move_schedule(netlist)
     for algebra_name, factory in algebra_factories.items():
@@ -473,7 +473,7 @@ def verify_circuit(netlist: Netlist,
         if schedule:
             inc.clear_delay(schedule[0])
         full = run_spsta(netlist, config, inc.effective_delay_model(),
-                         factory(), engine="naive")
+                         factory())
         incremental_runs[algebra_name] = (inc.result(), full)
 
     mc_wave = run_monte_carlo(netlist, config, trials, delay_model,

@@ -172,11 +172,12 @@ POLICIES: Dict[str, TolerancePolicy] = {
             abs_probability=0.0, abs_mean=0.0, abs_std=0.0),
         TolerancePolicy(
             pair="incremental-vs-full/moment",
-            description="Worklist cone repair calls the naive engine's "
-                        "per-gate kernel on identical inputs in "
-                        "topological order, and exact-equality early "
-                        "termination cannot hide a change: bit-exact "
-                        "after every optimizer-style move.",
+            description="Worklist cone repair calls run_spsta's "
+                        "per-gate kernel on identical inputs, a level's "
+                        "dirty gates after every changed fan-in, and "
+                        "exact-equality early termination cannot hide a "
+                        "change: bit-exact after every optimizer-style "
+                        "move.",
             abs_probability=0.0, abs_mean=0.0, abs_std=0.0),
         TolerancePolicy(
             pair="incremental-vs-full/mixture",
@@ -187,11 +188,12 @@ POLICIES: Dict[str, TolerancePolicy] = {
             abs_probability=0.0, abs_mean=0.0, abs_std=0.0),
         TolerancePolicy(
             pair="incremental-vs-full/grid",
-            description="Same per-gate kernel and evaluation order; the "
-                        "kernel cache memoizes values, never changes "
-                        "them, so the grid algebra repairs bit-exactly "
-                        "too (measured deviation on the bundled "
-                        "benches: 0.0).",
+            description="Build and repair run run_spsta's compiled "
+                        "program at one scenario; a repair re-times a "
+                        "level's dirty gates in one level step whose row "
+                        "operations touch only their own rows, so it "
+                        "reproduces the full pass bit for bit (measured "
+                        "deviation on the bundled benches: 0.0).",
             abs_probability=0.0, abs_mean=0.0, abs_std=0.0),
         TolerancePolicy(
             pair="hier-vs-flat/grid",

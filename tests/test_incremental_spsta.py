@@ -1,25 +1,37 @@
 """Tests for repro.core.incremental_spsta — incremental SPSTA.
 
 The core claim is *bit-exactness*: after any sequence of delay edits,
-the worklist-repaired state equals a fresh naive ``run_spsta`` pass
-over the same effective delays, for every algebra.  The differential
-tests drive random edit sequences on the bundled ISCAS benches and
-check exactly that via :func:`assert_matches_full` (tolerance 0).
+the worklist-repaired state equals a fresh production ``run_spsta``
+pass over the same effective delays, for every algebra.  The
+differential tests drive random edit sequences on the bundled ISCAS
+benches and check exactly that via :func:`assert_matches_full`
+(tolerance 0).  Grid repairs re-time a subset of a level through the
+compiled program's level step, so ``TestGridRepair`` also drives cones
+that span several levels and levels with several dirty gates.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.delay import MisDelay, NormalDelay
 from repro.core.incremental_spsta import (
     IncrementalDivergenceError,
     IncrementalSpsta,
+    _OverrideDelays,
     assert_matches_full,
     conditionals_close,
     fresh_algebra_like,
 )
 from repro.core.inputs import CONFIG_I
-from repro.core.spsta import GridAlgebra, MixtureAlgebra, MomentAlgebra
+from repro.core.scenario import GridGroup
+from repro.core.spsta import (
+    GridAlgebra,
+    MixtureAlgebra,
+    MomentAlgebra,
+    run_spsta,
+)
 from repro.netlist.benchmarks import benchmark_circuit
+from repro.stats.grid import TimeGrid
 from repro.stats.mixture import GaussianMixture
 from repro.stats.normal import Normal
 from repro.verify.harness import sweep_grid_for
@@ -84,6 +96,144 @@ class TestDifferential:
             assert stats.recomputed == len(netlist.combinational_gates)
         assert worklist.tops == fullpass.tops
         assert worklist.prob4 == fullpass.prob4
+
+
+def _same_tops(a, b):
+    """Bit-exact equality of two net -> NetTops maps (any algebra)."""
+    if set(a) != set(b):
+        return False
+    for net in a:
+        for direction in ("rise", "fall"):
+            x = getattr(a[net], direction)
+            y = getattr(b[net], direction)
+            if x.occurs != y.occurs or (x.occurs and (
+                    x.weight != y.weight
+                    or not conditionals_close(x.conditional, y.conditional,
+                                              0.0))):
+                return False
+    return True
+
+
+@pytest.fixture()
+def level_steps(monkeypatch):
+    """Record the batch size of every grid level step."""
+    sizes = []
+    original = GridGroup.run_level
+
+    def spy(self, records, nets):
+        sizes.append(len(records))
+        return original(self, records, nets)
+
+    monkeypatch.setattr(GridGroup, "run_level", spy)
+    return sizes
+
+
+class TestGridRepair:
+    """Grid sessions repair on the compiled program, bit-exactly."""
+
+    GRID = TimeGrid(-8.0, 60.0, 512)
+    DELAY = NormalDelay(1.0, 0.1)
+
+    def _inc(self, netlist, delay=DELAY):
+        return IncrementalSpsta(netlist, CONFIG_I, delay,
+                                GridAlgebra(self.GRID))
+
+    def test_s1196_edit_sequence_spans_levels_and_batches(self,
+                                                          level_steps):
+        netlist = benchmark_circuit("s1196")
+        inc = self._inc(netlist)
+        n_levels = len(netlist.levels)
+        assert len(level_steps) == n_levels   # the build is one full pass
+        comb = netlist.combinational_gates
+        # A shallow gate (large multi-level cone), a mid gate, a deep
+        # gate, and a revert of the first.
+        moves = [(comb[0].name, Normal(1.4, 0.14)),
+                 (comb[len(comb) // 2].name, Normal(0.7, 0.07)),
+                 (comb[-3].name, Normal(1.2, 0.0))]
+        for gate, delay in moves:
+            del level_steps[:]
+            stats = inc.set_delay(gate, delay)
+            assert stats.recomputed == stats.cone_size
+            assert sum(level_steps) == stats.recomputed
+            assert assert_matches_full(inc) == len(netlist.nets)
+            if gate == comb[0].name:
+                assert len(level_steps) > 5       # many levels
+                assert max(level_steps) > 1       # several gates a level
+        del level_steps[:]
+        inc.clear_delay(comb[0].name)
+        assert max(level_steps) > 1
+        assert_matches_full(inc)
+
+    def test_s1196_random_edits_bit_match_full(self):
+        netlist = benchmark_circuit("s1196")
+        inc = self._inc(netlist)
+        rng = np.random.default_rng(11)
+        for gate, delay in _random_edits(netlist, rng, 5):
+            inc.set_delay(gate, delay)
+            assert_matches_full(inc)
+
+    def test_mis_base_model_repairs_bit_exactly(self):
+        netlist = benchmark_circuit("s344")
+        inc = self._inc(netlist, MisDelay(1.0, 0.15, 0.3, 0.1))
+        rng = np.random.default_rng(12)
+        for gate, delay in _random_edits(netlist, rng, 5):
+            inc.set_delay(gate, delay)
+            assert_matches_full(inc)
+
+    def test_full_mode_lands_in_the_worklist_state(self):
+        netlist = benchmark_circuit("s1196")
+        worklist = self._inc(netlist)
+        fullpass = self._inc(netlist)
+        rng = np.random.default_rng(13)
+        for gate, delay in _random_edits(netlist, rng, 3):
+            worklist.set_delay(gate, delay)
+            stats = fullpass.set_delay(gate, delay, full=True)
+            assert stats.recomputed == len(netlist.combinational_gates)
+            assert _same_tops(worklist.tops, fullpass.tops)
+        assert_matches_full(fullpass)
+
+    def test_clear_delay_returns_the_build_state(self):
+        netlist = benchmark_circuit("s1196")
+        inc = self._inc(netlist)
+        built = dict(inc.tops)
+        comb = netlist.combinational_gates
+        victims = [comb[3].name, comb[40].name]
+        for victim in victims:
+            inc.set_delay(victim, Normal(2.0, 0.2))
+        assert not _same_tops(inc.tops, built)
+        for victim in victims:
+            inc.clear_delay(victim)
+        assert _same_tops(inc.tops, built)
+        assert_matches_full(inc)
+
+    def test_identity_edit_terminates_at_the_source(self):
+        netlist = benchmark_circuit("s1196")
+        inc = self._inc(netlist)
+        victim = netlist.combinational_gates[20].name
+        inc.set_delay(victim, Normal(1.7, 0.05))
+        stats = inc.set_delay(victim, Normal(1.7, 0.05))
+        assert (stats.recomputed, stats.skipped) == (1, 1)
+
+
+class TestOverrideDelays:
+    def test_mis_hook_only_when_the_base_has_one(self):
+        assert not hasattr(_OverrideDelays(NormalDelay(1.0, 0.1), {}),
+                           "delay_mis")
+        mis = _OverrideDelays(MisDelay(), {"G1": Normal(2.0, 0.0)})
+        gate = benchmark_circuit("s27").gates["G8"]
+        assert mis.delay_mis(gate, 2) == MisDelay().delay_mis(gate, 2)
+
+    def test_empty_override_stack_runs_like_its_base(self):
+        """Regression: the MIS hook used to be always defined, which sent
+        the grid program down its MIS job path and moved ULPs on most
+        s1196 nets."""
+        netlist = benchmark_circuit("s1196")
+        grid = TimeGrid(-8.0, 60.0, 512)
+        base = NormalDelay(1.0, 0.1)
+        plain = run_spsta(netlist, CONFIG_I, base, GridAlgebra(grid))
+        wrapped = run_spsta(netlist, CONFIG_I, _OverrideDelays(base, {}),
+                            GridAlgebra(grid))
+        assert _same_tops(plain.tops, wrapped.tops)
 
 
 class TestWorklist:

@@ -25,7 +25,10 @@ import sys
 
 import pytest
 
-from repro.core.incremental_spsta import assert_matches_full
+from repro.core.incremental_spsta import (
+    assert_matches_full,
+    fresh_algebra_like,
+)
 from repro.core.inputs import CONFIG_I
 from repro.core.spsta import run_spsta
 from repro.netlist.benchmarks import benchmark_circuit
@@ -192,26 +195,58 @@ class TestEdits:
         assert retime["mode"] == "incremental"
         assert 0 < retime["recomputed"] <= retime["total_gates"]
 
-    def test_edited_state_matches_fresh_full_run_bit_exact(self, server):
+    @pytest.mark.parametrize("algebra", [
+        {"algebra": "moments"},
+        {"algebra": "mixture"},
+        {"algebra": "grid", "grid": "-8:60:512"},
+    ], ids=["moments", "mixture", "grid"])
+    def test_edited_state_matches_fresh_full_run_bit_exact(self, server,
+                                                           algebra):
         """The acceptance criterion: post-edit responses equal a fresh
         full run_spsta over the same effective delays, exactly."""
         _req(server, id=1, op="edit", circuit="s27", gate="G14",
-             mu=2.5, sigma=0.3)
+             mu=2.5, sigma=0.3, **algebra)
         _req(server, id=2, op="edit", circuit="s27", gate="G8",
-             mu=0.7, sigma=0.05)
+             mu=0.7, sigma=0.05, **algebra)
         (session,) = server._sessions.values()
         assert_matches_full(session.inc, tolerance=0.0)
         served = _req(server, id=3, op="query", circuit="s27",
-                      net="G17")["result"]["reports"]
+                      net="G17", **algebra)["result"]["reports"]
         fresh = run_spsta(benchmark_circuit("s27"), CONFIG_I,
                           session.inc.effective_delay_model(),
-                          session.inc.algebra.__class__())
+                          fresh_algebra_like(session.inc.algebra))
         for report in served:
             p, mean, std = fresh.report(report["net"],
                                         report["direction"])
             assert report["probability"] == p
             assert report["mean"] == mean
             assert report["std"] == std
+
+    def test_warm_grid_session_matches_a_fresh_frozen_daemon(self, server):
+        """A grid session edited in place answers exactly like a new
+        daemon handed the same per-gate delays up front (a ``frozen``
+        spec), so a restart never changes a served number."""
+        base = {"circuit": "s344", "algebra": "grid", "grid": "-8:60:512",
+                "delay": {"kind": "normal", "mu": 1.0, "sigma": 0.1}}
+        _req(server, id=0, op="analyze", **base)
+        gates = [g.name for g in
+                 benchmark_circuit("s344").combinational_gates]
+        edits = {gates[2]: 1.4, gates[len(gates) // 2]: 0.8,
+                 gates[-4]: 1.25}
+        for i, (gate, mu) in enumerate(edits.items()):
+            assert _req(server, id=i + 1, op="edit", gate=gate, mu=mu,
+                        sigma=mu * 0.1, **base)["ok"]
+        assert _req(server, id=9, op="edit", gate=gates[-4], clear=True,
+                    **base)["ok"]
+        del edits[gates[-4]]
+        warm = _req(server, id=10, op="analyze", **base)
+        frozen = {name: edits.get(name, 1.0) for name in gates}
+        fresh = _req(Server(), id=11, op="analyze",
+                     **{**base, "delay": {"kind": "frozen",
+                                          "delays": frozen,
+                                          "relative_sigma": 0.1}})
+        assert warm["ok"] and fresh["ok"]
+        assert warm["result"]["endpoints"] == fresh["result"]["endpoints"]
 
     def test_reverted_edit_restores_cache_validity(self, server):
         before = _req(server, id=1, op="query", circuit="s27", net="G17")

@@ -314,12 +314,13 @@ def conditionals_close(a: D, b: D, tolerance: float) -> bool:
         return (abs(a.mu - b.mu) <= tolerance
                 and abs(a.sigma - b.sigma) <= tolerance)
     if isinstance(a, GaussianMixture) and isinstance(b, GaussianMixture):
-        if len(a.components) != len(b.components):
+        if len(a) != len(b):
             return False
-        return all(abs(ca.weight - cb.weight) <= tolerance
-                   and abs(ca.mu - cb.mu) <= tolerance
-                   and abs(ca.sigma - cb.sigma) <= tolerance
-                   for ca, cb in zip(a.components, b.components))
+        pa = a.weights + a.means + a.sigmas
+        pb = b.weights + b.means + b.sigmas
+        if tolerance == 0.0:
+            return pa == pb
+        return all(abs(x - y) <= tolerance for x, y in zip(pa, pb))
     if isinstance(a, GridDensity) and isinstance(b, GridDensity):
         if tolerance == 0.0:
             return bool(np.array_equal(a.values, b.values))

@@ -171,9 +171,8 @@ class MixtureAlgebra(TopAlgebra[GaussianMixture]):
 
     def mix(self, terms: Sequence[Tuple[float, GaussianMixture]]
             ) -> Tuple[float, Optional[GaussianMixture]]:
-        acc = GaussianMixture.empty()
-        for weight, dist in terms:
-            acc = acc + dist.normalized().scaled(weight)
+        acc = GaussianMixture.concatenated(
+            dist.normalized().scaled(weight) for weight, dist in terms)
         total = acc.total_weight
         if total <= 0.0:
             return 0.0, None

@@ -42,6 +42,7 @@ fallback — the daemon must not depend on optional packages.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.core.delay import (
@@ -169,6 +170,17 @@ def _validate_fallback(payload: Dict[str, Any]) -> None:
         _fail(f"sigma must be >= 0, got {payload['sigma']!r}")
 
 
+@functools.lru_cache(maxsize=None)
+def _request_validator() -> Any:
+    """The jsonschema validator of :data:`REQUEST_SCHEMA`, built on first
+    use: resolving the validator class and checking the schema against
+    its meta-schema cost more than validating a request, so neither is
+    repeated per request (``jsonschema.validate`` would redo both)."""
+    cls = jsonschema.validators.validator_for(REQUEST_SCHEMA)
+    cls.check_schema(REQUEST_SCHEMA)
+    return cls(REQUEST_SCHEMA)
+
+
 def validate_request(payload: object) -> Dict[str, Any]:
     """Check one request envelope against :data:`REQUEST_SCHEMA`.
 
@@ -183,10 +195,11 @@ def validate_request(payload: object) -> Dict[str, Any]:
             f"request must be a JSON object, got "
             f"{type(payload).__name__}")
     if jsonschema is not None:              # pragma: no cover - optional
-        try:
-            jsonschema.validate(payload, REQUEST_SCHEMA)
-        except jsonschema.ValidationError as exc:
-            raise RequestError(f"schema violation: {exc.message}") from exc
+        error = jsonschema.exceptions.best_match(
+            _request_validator().iter_errors(payload))
+        if error is not None:
+            raise RequestError(
+                f"schema violation: {error.message}") from error
         return payload
     _validate_fallback(payload)
     return payload

@@ -182,6 +182,54 @@ class TestInterfaceCache:
         for net, direction, p, mean, std in rerun.endpoint_rows(netlist):
             assert (p, mean, std) == flat.report(net, direction)
 
+    def test_old_mixture_layout_loads_as_a_miss(self, tmp_path):
+        """An entry pickled while GaussianMixture kept a ``_components``
+        slot of component objects must be dropped and recomputed, never
+        returned as a half-initialised mixture."""
+        import copyreg
+        import hashlib
+        import io
+        import json
+        import pickle
+
+        from repro.stats.mixture import GaussianMixture
+
+        class OldLayoutPickler(pickle.Pickler):
+            def reducer_override(self, obj):
+                if isinstance(obj, GaussianMixture):
+                    return (copyreg.__newobj__, (GaussianMixture,),
+                            (None, {"_components": obj.components}))
+                return NotImplemented
+
+        netlist = benchmark_circuit("s27")
+        spec = AlgebraSpec.mixture()
+        cache = tmp_path / "cache"
+        run_hier(netlist, CONFIG_I, algebra_spec=spec, n_regions=3,
+                 store=InterfaceModelStore(cache))
+        manifest = json.loads((cache / "manifest.json").read_text())
+        key, entry = sorted(manifest["entries"].items())[0]
+        model = InterfaceModelStore(cache).get(key)
+        assert model is not None
+        buffer = io.BytesIO()
+        OldLayoutPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(model)
+        payload = buffer.getvalue()
+        assert b"_components" in payload
+        (cache / entry["file"]).write_bytes(payload)
+        entry["sha256"] = hashlib.sha256(payload).hexdigest()
+        (cache / "manifest.json").write_text(json.dumps(manifest))
+
+        store = InterfaceModelStore(cache)
+        assert store.get(key) is None
+        assert store.misses == 1
+        assert key not in json.loads(
+            (cache / "manifest.json").read_text())["entries"]
+        rerun = run_hier(netlist, CONFIG_I, algebra_spec=spec, n_regions=3,
+                         store=store)
+        assert rerun.complete and rerun.cache_misses >= 1
+        flat = run_spsta(netlist, CONFIG_I, UnitDelay(), spec.build())
+        for net, direction, p, mean, std in rerun.endpoint_rows(netlist):
+            assert (p, mean, std) == flat.report(net, direction)
+
     def test_foreign_manifest_is_refused(self, tmp_path):
         (tmp_path / "manifest.json").write_text(
             '{"format": "something-else", "entries": {}}')

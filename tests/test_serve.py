@@ -127,6 +127,65 @@ class TestProtocol:
             parse_grid("a:b:c")
 
 
+class TestPrebuiltValidator:
+    """The jsonschema path validates with one validator built on first
+    use, and refuses each envelope with the message ``jsonschema.validate``
+    would have produced."""
+
+    BAD = (
+        {"v": 99, "op": "status"},
+        {"v": 1, "op": "explode"},
+        {"v": 1},
+        {"v": 1, "op": "query", "circuit": "s27", "net": "G17",
+         "direction": "sideways"},
+        {"v": 1, "op": "edit", "circuit": "s27", "gate": "G14",
+         "mu": 1.0, "sigma": -0.5},
+        {"v": 1, "op": "analyze", "circuit": "", "grid": "1:2"},
+        {"v": 1, "op": "analyze", "delay": {"kind": "normal",
+                                             "sigma": "wide"}},
+        {"v": 1, "op": "analyze", "id": [1], "algebra": "quantum"},
+    )
+
+    @pytest.fixture()
+    def jsonschema(self):
+        return pytest.importorskip("jsonschema")
+
+    def test_messages_match_jsonschema_validate(self, jsonschema):
+        from repro.serve.protocol import REQUEST_SCHEMA
+        for payload in self.BAD:
+            with pytest.raises(jsonschema.ValidationError) as expected:
+                jsonschema.validate(payload, REQUEST_SCHEMA)
+            with pytest.raises(RequestError) as refused:
+                validate_request(payload)
+            assert str(refused.value) == (
+                f"schema violation: {expected.value.message}"), payload
+            assert refused.value.code == "bad-request"
+
+    def test_schema_is_checked_once(self, jsonschema, monkeypatch):
+        from repro.serve import protocol
+        cls = jsonschema.validators.validator_for(protocol.REQUEST_SCHEMA)
+        checks = []
+        real_check = cls.check_schema
+
+        def counting_check(klass, schema, *args, **kwargs):
+            checks.append(schema)
+            return real_check(schema, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "check_schema",
+                            classmethod(counting_check))
+        protocol._request_validator.cache_clear()
+        try:
+            good = {"v": 1, "id": 1, "op": "analyze", "circuit": "s27"}
+            for _ in range(3):
+                assert validate_request(good) is good
+            for payload in self.BAD:
+                with pytest.raises(RequestError):
+                    validate_request(payload)
+        finally:
+            protocol._request_validator.cache_clear()
+        assert checks == [protocol.REQUEST_SCHEMA]
+
+
 # -- cold/warm caching -------------------------------------------------------
 
 class TestCaching:

@@ -1,10 +1,16 @@
 """Tests for repro.stats.mixture — Gaussian mixtures (WEIGHTED SUM form)."""
 
+import math
+import pickle
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+from repro.core.delay import NormalDelay
+from repro.core.inputs import CONFIG_I
+from repro.core.spsta import MixtureAlgebra, run_spsta
+from repro.netlist.benchmarks import benchmark_circuit
 from repro.stats.mixture import (
     GaussianMixture,
     MixtureComponent,
@@ -230,3 +236,189 @@ class TestSampling:
             [m.cdf(v) / m.total_weight for v in np.atleast_1d(x)])
         stat, _p = scipy_stats.kstest(draws, cdf)
         assert stat < 0.01
+
+
+class TestLayout:
+    def test_repr_is_pinned(self):
+        # Hier interface keys hash this string; it must not drift.
+        m = _mix((0.125, 1.5, 0.25), (0.3, -2.0, 1.0),
+                 (0.5, 10.123456, 0.00123456789))
+        assert repr(m) == ("GaussianMixture[(0.125, N(1.5, 0.25)), "
+                           "(0.3, N(-2, 1)), (0.5, N(10.12, 0.001235))]")
+
+    def test_parallel_arrays_match_components(self):
+        m = _mix((0.2, 1.0, 0.5), (0.0, 3.0, 1.0), (0.8, -1.0, 2.0))
+        assert m.weights == (0.2, 0.8)
+        assert m.means == (1.0, -1.0)
+        assert m.sigmas == (0.5, 2.0)
+        assert m.components == (MixtureComponent(0.2, 1.0, 0.5),
+                                MixtureComponent(0.8, -1.0, 2.0))
+
+    def test_pickle_round_trip(self):
+        m = _mix((0.2, 1.0, 0.5), (0.8, -1.0, 2.0))
+        back = pickle.loads(pickle.dumps(m))
+        assert (back.weights, back.means, back.sigmas) == (
+            m.weights, m.means, m.sigmas)
+
+    @pytest.mark.parametrize("op", [
+        lambda m: m.scaled(math.inf),
+        lambda m: m.shifted(math.nan),
+        lambda m: m.convolved(Normal(1.7e308, 1.0)),
+    ], ids=["scaled", "shifted", "convolved"])
+    def test_new_components_are_checked(self, op):
+        with pytest.raises(ValueError, match="must be finite"):
+            op(_mix((0.5, 1.7e308, 1.0)))
+
+    def test_non_finite_clark_result_raises_from_max_with(self):
+        # mu^2 overflows inside Clark's second moment: inf - inf = NaN.
+        a = GaussianMixture.from_normal(Normal(1e200, 1.0))
+        b = GaussianMixture.from_normal(Normal(1e200, 1.0))
+        with pytest.raises(ValueError, match="must be finite"):
+            a.max_with(b)
+        with pytest.raises(ValueError, match="must be finite"):
+            a.min_with(b)
+
+    def test_overflowing_merge_raises(self):
+        m = _mix((1.0, 1e200, 1e200), (1.0, 1e200, 1e200))
+        with pytest.raises(ValueError, match="must be finite"):
+            m.reduced(1)
+
+
+# -- differential tests: heap reducer vs the O(n^2) rescan -----------------
+
+
+def _oracle_merge(a: MixtureComponent,
+                  b: MixtureComponent) -> MixtureComponent:
+    """Moment-preserving merge of two weighted Gaussians into one."""
+    w = a.weight + b.weight
+    if w <= 0.0:
+        return MixtureComponent(0.0, 0.0, 0.0)
+    mu = (a.weight * a.mu + b.weight * b.mu) / w
+    raw2 = (a.weight * (a.mu * a.mu + a.sigma * a.sigma)
+            + b.weight * (b.mu * b.mu + b.sigma * b.sigma)) / w
+    var = max(raw2 - mu * mu, 0.0)
+    return MixtureComponent(w, mu, math.sqrt(var))
+
+
+def oracle_reduced(mixture: GaussianMixture,
+                   max_components: int) -> GaussianMixture:
+    """The reference reducer: rescan every adjacent pair after each merge
+    and merge the first cheapest one (West's weighted squared-mean gap)."""
+    if max_components < 1:
+        raise ValueError("max_components must be >= 1")
+    comps = sorted(mixture.components, key=lambda c: c.mu)
+    while len(comps) > max_components:
+        best_i = 0
+        best_cost = math.inf
+        for i in range(len(comps) - 1):
+            ci, cj = comps[i], comps[i + 1]
+            wsum = ci.weight + cj.weight
+            if wsum <= 0.0:
+                cost = 0.0
+            else:
+                d = ci.mu - cj.mu
+                cost = ci.weight * cj.weight / wsum * d * d
+            if cost < best_cost:
+                best_cost = cost
+                best_i = i
+        merged = _oracle_merge(comps[best_i], comps[best_i + 1])
+        comps[best_i:best_i + 2] = [merged]
+    return GaussianMixture(comps)
+
+
+def _bits(mixture: GaussianMixture):
+    """Exact float bit patterns of the (w, mu, sigma) arrays."""
+    return tuple(tuple(x.hex() for x in part) for part in
+                 (mixture.weights, mixture.means, mixture.sigmas))
+
+
+# Small value sets make equal costs, duplicated means and zero weights
+# common rather than measure-zero events.
+_tie_weights = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                         st.floats(1e-6, 1.0))
+_tie_means = st.one_of(st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0, 4.0]),
+                       st.floats(-50.0, 50.0))
+_tie_sigmas = st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                        st.floats(0.0, 5.0))
+
+
+class TestHeapReducerMatchesOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(_tie_weights, _tie_means, _tie_sigmas),
+                    max_size=48),
+           st.integers(1, 12))
+    def test_bit_identical_to_rescan(self, triples, cap):
+        m = _mix(*triples)
+        assert _bits(m.reduced(cap)) == _bits(oracle_reduced(m, cap))
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 5, 8])
+    def test_equal_cost_ties_resolve_leftmost(self, cap):
+        # Equal weights on a unit lattice: every adjacent cost is equal,
+        # and merges recreate new equal-cost pairs.
+        m = _mix(*[(0.5, float(i), 1.0) for i in range(17)])
+        assert _bits(m.reduced(cap)) == _bits(oracle_reduced(m, cap))
+
+    def test_duplicated_means_keep_input_order(self):
+        m = _mix((0.1, 1.0, 0.5), (0.2, 1.0, 2.0), (0.3, 0.0, 1.0),
+                 (0.4, 1.0, 1.0), (0.5, 0.0, 0.0))
+        for cap in range(1, 6):
+            assert _bits(m.reduced(cap)) == _bits(oracle_reduced(m, cap))
+
+    def test_under_cap_returns_sorted_copy(self):
+        m = _mix((0.5, 3.0, 1.0), (0.2, -1.0, 1.0), (0.3, 1.0, 1.0))
+        r = m.reduced(3)
+        assert r.means == (-1.0, 1.0, 3.0)
+        assert _bits(r) == _bits(oracle_reduced(m, 3))
+
+    def test_zero_weight_inputs_are_dropped_first(self):
+        m = _mix((0.0, 5.0, 1.0), (0.5, 0.0, 1.0), (0.0, -3.0, 1.0),
+                 (0.5, 1.0, 1.0))
+        assert _bits(m.reduced(1)) == _bits(oracle_reduced(m, 1))
+
+    def test_empty(self):
+        assert len(GaussianMixture.empty().reduced(1)) == 0
+
+
+class OracleMixtureAlgebra(MixtureAlgebra):
+    """MixtureAlgebra reducing with the rescan oracle and accumulating the
+    WEIGHTED SUM term by term (the previous implementation)."""
+
+    def maximum(self, dists):
+        acc = dists[0]
+        for d in dists[1:]:
+            acc = oracle_reduced(acc.max_with(d), self.max_components)
+        return acc
+
+    def minimum(self, dists):
+        acc = dists[0]
+        for d in dists[1:]:
+            acc = oracle_reduced(acc.min_with(d), self.max_components)
+        return acc
+
+    def mix(self, terms):
+        acc = GaussianMixture.empty()
+        for weight, dist in terms:
+            acc = acc + dist.normalized().scaled(weight)
+        total = acc.total_weight
+        if total <= 0.0:
+            return 0.0, None
+        return total, oracle_reduced(acc.normalized(), self.max_components)
+
+
+@pytest.mark.parametrize("circuit", ["s27", "s344", "s1196"])
+def test_run_spsta_matches_oracle_reducer(circuit):
+    netlist = benchmark_circuit(circuit)
+    delay = NormalDelay(1.0, 0.1)
+    new = run_spsta(netlist, CONFIG_I, delay, MixtureAlgebra())
+    old = run_spsta(netlist, CONFIG_I, delay, OracleMixtureAlgebra())
+    assert sorted(new.tops) == sorted(old.tops)
+    for net in old.tops:
+        for direction in ("rise", "fall"):
+            a = getattr(new.tops[net], direction)
+            b = getattr(old.tops[net], direction)
+            assert repr(new.report(net, direction)) == repr(
+                old.report(net, direction)), (net, direction)
+            assert a.occurs == b.occurs
+            if b.occurs:
+                assert _bits(a.conditional) == _bits(b.conditional), \
+                    (net, direction)

@@ -10,8 +10,13 @@ come out unchanged.
 
 Each algebra repairs on its own production kernel:
 
-- the closed-form algebras (moments, mixtures) call the per-gate kernel
-  :func:`repro.core.spsta._gate_tops`, the one ``run_spsta`` sweeps;
+- the closed-form algebras (moments, mixtures) run
+  :class:`repro.core.spsta.TermPlanner`, the plan-and-replay kernel
+  ``run_spsta`` sweeps.  The build plans every gate's Eq. 11/12 terms
+  and weights once; a delay edit never changes a ``Prob4``, so a repair
+  only replays the kept plans against the new delays (a plan whose
+  input statistics or occurrence signature no longer match is rebuilt,
+  never replayed);
 - :class:`~repro.core.spsta.GridAlgebra` runs the compiled program of
   :mod:`repro.core.scenario` with one scenario.  The netlist is compiled
   once per instance; the build is one full pass of the program (the
@@ -79,7 +84,6 @@ from repro.core.profiling import SpstaProfile
 from repro.core.scenario import (
     DirState,
     GridGroup,
-    WeightTableCache,
     compile_netlist,
     read_nets,
 )
@@ -89,12 +93,14 @@ from repro.core.spsta import (
     MomentAlgebra,
     NetTops,
     SpstaResult,
+    TermPlanner,
     TopAlgebra,
     TopFunction,
-    _gate_tops,
+    _delay_for,
     launch_tops,
     validate_parity_fanins,
 )
+from repro.core.termplan import GatePlan, WeightTableCache
 from repro.netlist.core import Netlist
 from repro.stats.grid import GridDensity
 from repro.stats.mixture import GaussianMixture
@@ -148,6 +154,8 @@ class IncrementalSpsta(Generic[D]):
         self._wcache = WeightTableCache()
         self._profile = SpstaProfile()
         self._grid: Optional[GridGroup] = None
+        self._planner = TermPlanner(self._parity_cap, self._wcache)
+        self._plans: Dict[str, GatePlan] = {}
         self.prob4: Dict[str, Prob4] = {}
         self.tops: Dict[str, NetTops[D]] = {}
         self.full_recompute()
@@ -244,10 +252,12 @@ class IncrementalSpsta(Generic[D]):
             gate = level[p]
             in_probs = [self.prob4[src] for src in gate.inputs]
             in_tops = [self.tops[src] for src in gate.inputs]
-            out.append((gate.name,
-                        _gate_tops(gate, in_probs, in_tops, self._model,
-                                   self.algebra, self._parity_cap),
-                        None))
+            plan, new_tops = self._planner.gate_tops(
+                gate, in_probs, in_tops, _delay_for(self._model, gate),
+                self.algebra, plan=self._plans.get(gate.name))
+            if plan is not None:
+                self._plans[gate.name] = plan
+            out.append((gate.name, new_tops, None))
         return out
 
     def full_recompute(self) -> None:
@@ -255,8 +265,8 @@ class IncrementalSpsta(Generic[D]):
 
         The same math as ``run_spsta``: for :class:`GridAlgebra` one full
         pass of the compiled program over the instance's compiled
-        netlist; otherwise shared launch seeding plus the shared per-gate
-        kernel in topological order.
+        netlist; otherwise shared launch seeding plus fresh term plans,
+        built and replayed in topological order and kept for repairs.
         """
         if self._compiled is not None:
             group = GridGroup(self._compiled, self._stats, [self._model],
@@ -270,13 +280,17 @@ class IncrementalSpsta(Generic[D]):
         prob4: Dict[str, Prob4] = {}
         tops: Dict[str, NetTops[D]] = {}
         launch_tops(self.netlist, self._stats, self.algebra, prob4, tops)
+        plans: Dict[str, GatePlan] = {}
         for gate in self.netlist.combinational_gates:
             in_probs = [prob4[src] for src in gate.inputs]
             in_tops = [tops[src] for src in gate.inputs]
             prob4[gate.name] = gate_prob4(gate.gate_type, in_probs)
-            tops[gate.name] = _gate_tops(gate, in_probs, in_tops,
-                                         self._model, self.algebra,
-                                         self._parity_cap)
+            plan, tops[gate.name] = self._planner.gate_tops(
+                gate, in_probs, in_tops, _delay_for(self._model, gate),
+                self.algebra)
+            if plan is not None:
+                plans[gate.name] = plan
+        self._plans = plans
         self.prob4 = prob4
         self.tops = tops
 

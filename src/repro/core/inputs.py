@@ -44,8 +44,8 @@ class Prob4:
             raise ValueError(f"four-value probabilities sum to {total}, not 1")
 
     def __getitem__(self, value: Logic4) -> float:
-        return {Logic4.ZERO: self.p_zero, Logic4.ONE: self.p_one,
-                Logic4.RISE: self.p_rise, Logic4.FALL: self.p_fall}[value]
+        # Logic4 codes: ZERO 0, RISE 1, FALL 2, ONE 3.
+        return (self.p_zero, self.p_rise, self.p_fall, self.p_one)[value]
 
     @property
     def signal_probability(self) -> float:

@@ -28,11 +28,12 @@ the compiled program:
 - **stacked per-level prep** — every referenced conditional density of
   every scenario normalizes and integrates in one 2-D pass;
 - **cross-scenario subset DP** — AND/OR-core directions run the
-  subset-lattice DP (:func:`subset_lattice`: the MAX over a subset is
-  ``max(MAX(subset minus top bit), top)``, one pairwise fold per mask)
-  batched across gates AND scenarios as 3-D array ops; the Eq. 11
-  subset-weight tables are memoized by :class:`WeightTableCache` and
-  shared by every gate and scenario with equal probability vectors;
+  subset-lattice DP (:func:`~repro.core.termplan.subset_lattice`: the
+  MAX over a subset is ``max(MAX(subset minus top bit), top)``, one
+  pairwise fold per mask) batched across gates AND scenarios as 3-D
+  array ops; the Eq. 11 subset-weight tables are memoized by
+  :class:`~repro.core.termplan.WeightTableCache` and shared by every
+  gate and scenario with equal probability vectors;
 - **parity prefix enumeration** — XOR/XNOR collapse the 4^k four-value
   assignments to 3^k (static / rise / fall) patterns, tracking the
   static-ones parity as an (even, odd) weight pair and sharing MAX-fold
@@ -50,10 +51,14 @@ build with that full pass and repair an edit's cone by running it over
 each level's dirty gates only.
 
 Closed-form algebras cannot reorder their scalar folds without losing
-the repo's bit-exactness contract, so they run the per-gate kernel
-(``repro.core.spsta._gate_tops``) for each scenario over shared
-launch/probability state — identical results to looping ``run_spsta``,
-minus the redundant per-scenario setup.
+the repo's bit-exactness contract, so they do not stack scenarios.
+They run gate-major over shared launch/probability state instead: each
+gate's Eq. 11/12 term plan (:mod:`repro.core.termplan`: terms, weights
+and the subset-lattice walk, all statistics-only) is built once per
+group, then replayed for every scenario
+(:class:`repro.core.spsta.TermPlanner`, the kernel ``run_spsta`` runs).
+Results are identical to looping ``run_spsta``, minus the redundant
+per-scenario setup and term planning.
 
 Memory scaling
 --------------
@@ -80,7 +85,6 @@ loses no probability mass off the grid ends.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 import time
 from typing import (
     Callable,
@@ -106,16 +110,17 @@ from repro.core.spsta import (
     MomentAlgebra,
     NetTops,
     SpstaResult,
+    TermPlanner,
     TopAlgebra,
     TopFunction,
     _delay_for,
-    _gate_tops,
     _harvest_kernel_counters,
     check_parity_fanin,
     launch_tops,
     run_spsta,
     validate_parity_fanins,
 )
+from repro.core.termplan import SubsetLattice, WeightTableCache, subset_lattice
 from repro.logic.gates import GateSpec, GateType, gate_spec
 from repro.netlist.core import Gate, Netlist
 from repro.stats.grid import (
@@ -380,7 +385,7 @@ def run_scenario_batch(netlist: Netlist,
                                         wcache, profile, keep)
         else:
             group_out = _run_generic_group(compiled, stats, models, algebra,
-                                           profile)
+                                           wcache, profile)
         for i, (prob4, tops) in zip(idxs, group_out):
             results[i] = SpstaResult(netlist.name, algebra, prob4, tops,
                                      profile)
@@ -449,13 +454,15 @@ _GroupOut = List[Tuple[Dict[str, Prob4], Dict[str, NetTops]]]
 
 
 def _run_generic_group(compiled: CompiledNetlist, stats, models, algebra,
+                       wcache: WeightTableCache,
                        profile: SpstaProfile) -> _GroupOut:
-    """Moment/mixture scenarios of one stats group.
+    """Moment/mixture scenarios of one stats group, gate-major.
 
     Launch TOPs and four-value probabilities are computed once and
-    shared; each scenario then runs the per-gate kernel ``_gate_tops``
-    of :func:`~repro.core.spsta.run_spsta` in the same gate order, so
-    results stay bit-identical to looping ``run_spsta``.
+    shared.  Each gate's Eq. 11/12 term plan is built once for the group
+    and replayed for every scenario (:class:`~repro.core.spsta.
+    TermPlanner`, the kernel ``run_spsta`` runs), so every scenario's
+    results stay bit-identical to its own ``run_spsta`` call.
     """
     netlist = compiled.netlist
     prob4: Dict[str, Prob4] = {}
@@ -467,98 +474,25 @@ def _run_generic_group(compiled: CompiledNetlist, stats, models, algebra,
             gate = record.gate
             prob4[gate.name] = gate_prob4(
                 gate.gate_type, [prob4[src] for src in gate.inputs])
-    out: _GroupOut = []
+    planner = TermPlanner(compiled.parity_cap, wcache)
+    gate_delays = (None if any(hasattr(m, "delay_mis") for m in models)
+                   else _group_gate_delays(models))
+    scenario_tops: List[Dict[str, NetTops]] = [dict(launch)
+                                               for _ in models]
     with profile.phase("propagate"):
-        for model in models:
-            tops: Dict[str, NetTops] = dict(launch)
-            for level in compiled.levels:
-                for record in level:
-                    gate = record.gate
-                    in_probs = [prob4[src] for src in gate.inputs]
-                    in_tops = [tops[src] for src in gate.inputs]
-                    tops[gate.name] = _gate_tops(
-                        gate, in_probs, in_tops, model, algebra,
-                        compiled.parity_cap, profile)
-                    profile.gates_processed += 1
-            out.append((prob4, tops))
-    return out
-
-# ---------------------------------------------------------------------------
-# Subset lattice and Eq. 11 weight tables, shared by every gate.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SubsetLattice:
-    """Static structure of the non-empty subsets of ``k`` candidates.
-
-    Arrays are indexed by ``mask - 1`` for masks ``1 .. 2^k - 1``.  ``top``
-    is the highest set bit, ``prev`` the mask with that bit cleared (the
-    DP predecessor), ``pop`` the popcount; ``by_pop[c]`` lists the 0-based
-    indices of all masks with popcount ``c + 1`` (for batched grid DP).
-    """
-
-    k: int
-    top: np.ndarray
-    prev: np.ndarray
-    pop: np.ndarray
-    by_pop: Tuple[np.ndarray, ...]
-
-
-@lru_cache(maxsize=None)
-def subset_lattice(k: int) -> SubsetLattice:
-    """The (memoized) subset lattice for fanin ``k``."""
-    masks = np.arange(1, 1 << k)
-    top = np.zeros(masks.shape[0], dtype=np.int64)
-    pop = np.zeros(masks.shape[0], dtype=np.int64)
-    for idx, mask in enumerate(masks):
-        top[idx] = int(mask).bit_length() - 1
-        pop[idx] = bin(int(mask)).count("1")
-    prev = masks - (1 << top)
-    by_pop = tuple(np.nonzero(pop == c)[0] for c in range(1, k + 1))
-    return SubsetLattice(k, top, prev, pop, by_pop)
-
-
-def build_weight_table(switch: Tuple[float, ...],
-                       static: Tuple[float, ...]) -> np.ndarray:
-    """Per-mask subset weights for one candidate probability vector.
-
-    Folds the factors in candidate index order — the exact multiplication
-    order of the naive ``_subset_terms`` loop, so cached tables reproduce
-    the reference path's subset weights bit for bit.
-    """
-    k = len(switch)
-    table = np.empty((1 << k) - 1)
-    for mask in range(1, 1 << k):
-        w = 1.0
-        for bit in range(k):
-            w *= switch[bit] if (mask >> bit) & 1 else static[bit]
-        table[mask - 1] = w
-    return table
-
-
-class WeightTableCache:
-    """Memoized Eq. 11 subset-weight tables, keyed by the exact switch and
-    static probability vectors (so a table is only ever served for the
-    vectors it was built from)."""
-
-    __slots__ = ("hits", "misses", "_tables")
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self._tables: Dict[tuple, np.ndarray] = {}
-
-    def table(self, switch: Tuple[float, ...],
-              static: Tuple[float, ...]) -> np.ndarray:
-        key = (switch, static)
-        table = self._tables.get(key)
-        if table is None:
-            table = self._tables[key] = build_weight_table(switch, static)
-            self.misses += 1
-        else:
-            self.hits += 1
-        return table
-
+        for level in compiled.levels:
+            for record in level:
+                gate = record.gate
+                in_probs = [prob4[src] for src in gate.inputs]
+                delay_fors = (gate_delays(gate) if gate_delays is not None
+                              else [_delay_for(m, gate) for m in models])
+                plan = None
+                for delay_for, tops in zip(delay_fors, scenario_tops):
+                    plan, tops[gate.name] = planner.gate_tops(
+                        gate, in_probs, [tops[src] for src in gate.inputs],
+                        delay_for, algebra, plan=plan, profile=profile)
+                profile.gates_processed += len(models)
+    return [(prob4, tops) for tops in scenario_tops]
 
 # ---------------------------------------------------------------------------
 # Grid kernels: batched array operations over raw density rows.

@@ -34,8 +34,8 @@ Independence between gate inputs is assumed, as in the paper's experiments
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import (
+    Callable,
     Dict,
     Generic,
     List,
@@ -52,13 +52,20 @@ from repro.core.delay import DelayModel, UnitDelay
 from repro.core.inputs import InputStats, Prob4
 from repro.core.probability import gate_prob4
 from repro.core.profiling import SpstaProfile
-from repro.logic.fourvalue import Logic4, gate_output_value
-from repro.logic.gates import GateSpec, GateType, gate_spec
+from repro.core.termplan import (
+    GatePlan,
+    ParityTerm,
+    SubsetPlan,
+    WeightTableCache,
+    occurrence_signature,
+    plan_gate,
+)
+from repro.logic.gates import GateType, gate_spec
 from repro.netlist.core import Gate, Netlist
 from repro.stats.clark import clark_max_many, clark_min_many
 from repro.stats.grid import GridDensity, KernelCache, MassLedger, TimeGrid
 from repro.stats.mixture import GaussianMixture
-from repro.stats.moments import WeightedMoments, weighted_sum_moments
+from repro.stats.moments import mix_moments
 from repro.stats.normal import Normal
 
 D = TypeVar("D")
@@ -132,8 +139,9 @@ class MomentAlgebra(TopAlgebra[Normal]):
 
     def mix(self, terms: Sequence[Tuple[float, Normal]]
             ) -> Tuple[float, Optional[Normal]]:
-        moments = weighted_sum_moments(
-            [(w, WeightedMoments(1.0, n.mu, n.var)) for w, n in terms])
+        # The moments of WeightedMoments(1.0, n.mu, n.var), unboxed.
+        moments = mix_moments(
+            [(w, 1.0, n.mu, n.mu * n.mu + n.var) for w, n in terms])
         if not moments.occurs:
             return 0.0, None
         return moments.weight, Normal(moments.mean, moments.std)
@@ -336,10 +344,15 @@ def run_spsta(netlist: Netlist,
     the TOP abstraction (default: :class:`MomentAlgebra`).
 
     Each algebra has one production path.  The closed-form algebras
-    (moments, mixtures) sweep the gates in topological order through the
-    per-gate kernel ``_gate_tops`` — the same kernel
-    :class:`~repro.core.incremental_spsta.IncrementalSpsta`, serve and the
-    optimizer use.  :class:`GridAlgebra` runs as a single scenario of the
+    (moments, mixtures) sweep the gates in topological order through
+    :class:`TermPlanner`: each gate's Eq. 11/12 terms and weights are
+    planned from the input statistics (:mod:`repro.core.termplan`), then
+    replayed with this run's delays, MAX/MIN folded once per subset-lattice
+    node.  Sweeps (:func:`~repro.core.scenario.run_scenario_batch`) replay
+    one plan per gate for every scenario, and
+    :class:`~repro.core.incremental_spsta.IncrementalSpsta` (serve, the
+    optimizer) replays its build's plans on every repair.
+    :class:`GridAlgebra` runs as a single scenario of the
     compiled program in :mod:`repro.core.scenario` (levelized batched
     subset DP, retention-corrected pre-mixing and cached FFT delay
     convolution).  ``engine="naive"`` selects the per-gate reference
@@ -385,15 +398,19 @@ def run_spsta(netlist: Netlist,
         launch_tops(netlist, stats, algebra, prob4, tops,
                     seeds=seed_tops)
 
+    planner = TermPlanner(parity_cap)
     with profile.phase("propagate"):
         for gate in netlist.combinational_gates:
             in_probs = [prob4[src] for src in gate.inputs]
             in_tops = [tops[src] for src in gate.inputs]
             prob4[gate.name] = gate_prob4(gate.gate_type, in_probs)
-            tops[gate.name] = _gate_tops(gate, in_probs, in_tops, delay_model,
-                                         algebra, parity_cap, profile)
+            _, tops[gate.name] = planner.gate_tops(
+                gate, in_probs, in_tops, _delay_for(delay_model, gate),
+                algebra, profile=profile)
             profile.gates_processed += 1
 
+    profile.weight_table_hits = planner.wcache.hits
+    profile.weight_table_misses = planner.wcache.misses
     _harvest_kernel_counters(algebra, profile)
     return SpstaResult(netlist.name, algebra, prob4, tops, profile)
 
@@ -456,27 +473,72 @@ def _delay_for(delay_model: DelayModel, gate: Gate):
     return lambda k: nominal
 
 
-def _gate_tops(gate: Gate, in_probs: Sequence[Prob4],
-               in_tops: Sequence[NetTops[D]], delay_model: DelayModel,
-               algebra: TopAlgebra[D],
-               max_parity_fanin: int = MAX_PARITY_FANIN,
-               profile: Optional[SpstaProfile] = None) -> NetTops[D]:
-    spec = gate_spec(gate.gate_type)
-    delay_for = _delay_for(delay_model, gate)
-    if gate.gate_type in (GateType.BUFF, GateType.NOT):
-        core = (in_tops[0] if gate.gate_type is GateType.BUFF
-                else in_tops[0].swapped())
-        delay = delay_for(1)
-        return NetTops(_delayed(core.rise, delay, algebra),
-                       _delayed(core.fall, delay, algebra))
-    if spec.is_parity:
-        return _parity_tops(spec, in_probs, in_tops, delay_for, algebra,
-                            max_parity_fanin, profile)
-    core = _controlling_tops(spec, in_probs, in_tops, delay_for, algebra,
-                             profile)
-    if spec.inverting:
-        core = core.swapped()
-    return core
+class TermPlanner:
+    """Closed-form Eq. 11/12 gate evaluation: plan, then replay.
+
+    :meth:`gate_tops` evaluates one gate for one delay model in two
+    steps.  The plan (:class:`~repro.core.termplan.GatePlan`: the terms
+    and their weights) depends only on the input probabilities and on
+    which input transitions occur; the replay folds MAX/MIN, adds each
+    term's delay and mixes.  A caller that evaluates the same gate again
+    (the next scenario of a sweep, an incremental repair) passes the
+    returned plan back and only replays.  A plan built from other input
+    probabilities, another occurrence signature or another gate type is
+    rebuilt, so a replay is never silently wrong.  ``wcache`` shares
+    Eq. 11 weight tables between calls (a sweep shares one).
+    """
+
+    def __init__(self, parity_cap: int = MAX_PARITY_FANIN,
+                 wcache: Optional[WeightTableCache] = None) -> None:
+        self.parity_cap = parity_cap
+        self.wcache = WeightTableCache() if wcache is None else wcache
+
+    def gate_tops(self, gate: Gate, in_probs: Sequence[Prob4],
+                  in_tops: Sequence[NetTops[D]],
+                  delay_for: Callable[[int], Normal],
+                  algebra: TopAlgebra[D], *,
+                  plan: Optional[GatePlan] = None,
+                  profile: Optional[SpstaProfile] = None
+                  ) -> Tuple[Optional[GatePlan], NetTops[D]]:
+        """The gate's plan (None for BUFF/NOT, which need none) and its
+        output TOPs for one delay model, replaying ``plan`` when it was
+        built from these inputs.  ``delay_for(k)`` is the gate's delay
+        with ``k`` inputs switching (:func:`_delay_for` of the model)."""
+        gate_type = gate.gate_type
+        if gate_type is GateType.BUFF or gate_type is GateType.NOT:
+            core = (in_tops[0] if gate_type is GateType.BUFF
+                    else in_tops[0].swapped())
+            delay = delay_for(1)
+            return None, NetTops(_delayed(core.rise, delay, algebra),
+                                 _delayed(core.fall, delay, algebra))
+        plan = self.plan(gate, in_probs, in_tops, plan)
+        if plan.spec.is_parity:
+            conds = [(t.rise.conditional, t.fall.conditional)
+                     for t in in_tops]
+            return plan, NetTops(
+                _replay_parity(plan.rise, conds, delay_for, algebra, profile),
+                _replay_parity(plan.fall, conds, delay_for, algebra,
+                               profile))
+        core = NetTops(
+            _replay_subset(plan.rise, in_tops, delay_for, algebra, profile),
+            _replay_subset(plan.fall, in_tops, delay_for, algebra, profile))
+        return plan, core.swapped() if plan.spec.inverting else core
+
+    def plan(self, gate: Gate, in_probs: Sequence[Prob4],
+             in_tops: Sequence[NetTops[D]],
+             plan: Optional[GatePlan] = None) -> GatePlan:
+        """``plan`` if it was built from these inputs, else a new plan
+        for an AND/OR-core or parity gate."""
+        probs = tuple(in_probs)
+        signature = occurrence_signature(in_tops)
+        if (plan is not None and plan.signature == signature
+                and plan.probs == probs
+                and plan.spec.gate_type is gate.gate_type):
+            return plan
+        spec = gate_spec(gate.gate_type)
+        if spec.is_parity:
+            check_parity_fanin(len(probs), self.parity_cap)
+        return plan_gate(spec, probs, signature, self.wcache)
 
 
 def _delayed(top: TopFunction[D], delay: Normal,
@@ -486,127 +548,58 @@ def _delayed(top: TopFunction[D], delay: Normal,
     return TopFunction(top.weight, algebra.add_delay(top.conditional, delay))
 
 
-def _controlling_tops(spec: GateSpec, in_probs: Sequence[Prob4],
-                      in_tops: Sequence[NetTops[D]], delay_for,
-                      algebra: TopAlgebra[D],
-                      profile: Optional[SpstaProfile] = None) -> NetTops[D]:
-    """Eq. 11 subset enumeration for AND/OR-core gates (pre-inversion).
+def _replay_subset(plan: Optional[SubsetPlan],
+                   in_tops: Sequence[NetTops[D]], delay_for,
+                   algebra: TopAlgebra[D],
+                   profile: Optional[SpstaProfile]) -> TopFunction[D]:
+    """One AND/OR-core direction: walk the plan's subset lattice.
 
-    For the AND core (non-controlling value 1): the output rises iff every
-    input ends at 1 and at least one input rose — switching inputs all rise,
-    the others sit at static 1 — and settles at the LAST rising input (MAX).
-    The output falls at the FIRST falling input (MIN) while the others sit
-    at 1.  The OR core mirrors this with static 0 and MIN/MAX exchanged.
-    Each subset term carries the delay for its own switching-input count.
+    Each node folds its top candidate into its predecessor's MAX/MIN
+    (the left fold over the subset's candidates in index order, one
+    pairwise fold per node); each weighted node becomes a term with the
+    delay for its switching-input count, mixed in mask order.
     """
-    is_and_core = spec.controlling_value == 0
-
-    def static_prob(p: Prob4) -> float:
-        return p.p_one if is_and_core else p.p_zero
-
-    rise_terms = _subset_terms(
-        in_probs, in_tops, algebra, delay_for,
-        switch_prob=lambda p: p.p_rise,
-        switch_top=lambda t: t.rise,
-        static_prob=static_prob,
-        use_max=is_and_core)
-    fall_terms = _subset_terms(
-        in_probs, in_tops, algebra, delay_for,
-        switch_prob=lambda p: p.p_fall,
-        switch_top=lambda t: t.fall,
-        static_prob=static_prob,
-        use_max=not is_and_core)
-    if profile is not None:
-        profile.subset_terms += len(rise_terms) + len(fall_terms)
-    return NetTops(_mixed(rise_terms, algebra), _mixed(fall_terms, algebra))
-
-
-def _subset_terms(in_probs: Sequence[Prob4], in_tops: Sequence[NetTops[D]],
-                  algebra: TopAlgebra[D], delay_for, switch_prob, switch_top,
-                  static_prob, use_max: bool) -> List[Tuple[float, D]]:
-    """All (weight, conditional) terms of one output direction (Eq. 11).
-
-    The per-mask weight is computed as ``static_factor * w`` with ``w``
-    folded over the candidates in index order — the exact multiplication
-    order of the compiled grid program's cached weight tables, so both
-    paths compute identical subset weights.
-    """
-    candidates: List[int] = []
-    static_factor = 1.0
-    for i, (p, t) in enumerate(zip(in_probs, in_tops)):
-        if switch_prob(p) > 0.0 and switch_top(t).occurs:
-            candidates.append(i)
-        else:
-            static_factor *= static_prob(p)
-    if static_factor <= 0.0 or not candidates:
-        return []
+    if plan is None:
+        return TopFunction.absent()
+    if plan.which == 0:
+        conds = [t.rise.conditional for t in in_tops]
+    else:
+        conds = [t.fall.conditional for t in in_tops]
+    fold = algebra.maximum if plan.use_max else algebra.minimum
+    add_delay = algebra.add_delay
+    nodes: List[Optional[D]] = [None] * plan.size
     terms: List[Tuple[float, D]] = []
-    for mask in range(1, 1 << len(candidates)):
-        w = 1.0
-        dists: List[D] = []
-        for bit, i in enumerate(candidates):
-            if mask & (1 << bit):
-                w *= switch_prob(in_probs[i])
-                dists.append(switch_top(in_tops[i]).conditional)
-            else:
-                w *= static_prob(in_probs[i])
-        weight = static_factor * w
-        if weight <= 0.0:
-            continue
-        combined = (algebra.maximum(dists) if use_max
-                    else algebra.minimum(dists))
-        combined = algebra.add_delay(combined, delay_for(len(dists)))
-        terms.append((weight, combined))
-    return terms
-
-
-def _parity_tops(spec: GateSpec, in_probs: Sequence[Prob4],
-                 in_tops: Sequence[NetTops[D]], delay_for,
-                 algebra: TopAlgebra[D],
-                 max_fanin: int = MAX_PARITY_FANIN,
-                 profile: Optional[SpstaProfile] = None) -> NetTops[D]:
-    """Exact joint enumeration for XOR/XNOR (no controlling value).
-
-    The output toggles at every switching input, so it transitions iff an
-    odd number of inputs switch, in the direction given by initial/final
-    parity, settling at the LAST switching input (MAX) — mixing rising and
-    falling input distributions inside one MAX is correct here.
-    """
-    k = len(in_probs)
-    check_parity_fanin(k, max_fanin)
-    rise_terms: List[Tuple[float, D]] = []
-    fall_terms: List[Tuple[float, D]] = []
-    for assignment in product(tuple(Logic4), repeat=k):
-        weight = 1.0
-        dists: List[D] = []
-        for p, t, v in zip(in_probs, in_tops, assignment):
-            weight *= p[v]
-            if weight <= 0.0:
-                break
-            if v is Logic4.RISE:
-                if not t.rise.occurs:
-                    weight = 0.0
-                    break
-                dists.append(t.rise.conditional)
-            elif v is Logic4.FALL:
-                if not t.fall.occurs:
-                    weight = 0.0
-                    break
-                dists.append(t.fall.conditional)
-        if weight <= 0.0:
-            continue
-        out = gate_output_value(spec, assignment)
-        if out not in (Logic4.RISE, Logic4.FALL):
-            continue
-        combined = algebra.add_delay(algebra.maximum(dists),
-                                     delay_for(len(dists)))
-        if out is Logic4.RISE:
-            rise_terms.append((weight, combined))
-        else:
-            fall_terms.append((weight, combined))
+    for node, prev, i, pop, weight in zip(*plan.steps):
+        combined = conds[i] if prev < 0 else fold((nodes[prev], conds[i]))
+        nodes[node] = combined
+        if weight > 0.0:
+            terms.append((weight, add_delay(combined, delay_for(pop))))
     if profile is not None:
-        profile.parity_terms += len(rise_terms) + len(fall_terms)
-    return NetTops(_mixed(rise_terms, algebra), _mixed(fall_terms, algebra))
+        profile.subset_terms += plan.terms
+        profile.max_folds += plan.folds
+    return _mixed(terms, algebra)
+
+
+def _replay_parity(terms: Sequence[ParityTerm],
+                   conds: Sequence[Tuple[Optional[D], Optional[D]]],
+                   delay_for, algebra: TopAlgebra[D],
+                   profile: Optional[SpstaProfile]) -> TopFunction[D]:
+    """One XOR/XNOR direction: each term settles at the MAX of its
+    switching inputs (rising and falling ones alike) plus the delay for
+    their count."""
+    if not terms:
+        return TopFunction.absent()
+    mixed: List[Tuple[float, D]] = []
+    folds = 0
+    for weight, picks in terms:
+        dists = [conds[i][d] for i, d in picks]
+        folds += len(dists) - 1
+        mixed.append((weight, algebra.add_delay(algebra.maximum(dists),
+                                                delay_for(len(dists)))))
+    if profile is not None:
+        profile.parity_terms += len(terms)
+        profile.max_folds += folds
+    return _mixed(mixed, algebra)
 
 
 def validate_parity_fanins(netlist: Netlist,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
-from typing import Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -70,18 +70,25 @@ def weighted_sum_moments(
     weight is sum(p_i * w_i); the conditional mean/variance are the mixture
     moments.
     """
+    return mix_moments([(p, m.weight, m.mean, m.raw2) for p, m in terms])
+
+
+def mix_moments(terms: Iterable[Tuple[float, float, float, float]]
+                ) -> WeightedMoments:
+    """:func:`weighted_sum_moments` over plain ``(probability, weight,
+    mean, raw2)`` tuples, for callers that hold the moments unboxed."""
     total_w = 0.0
     acc_mean = 0.0
     acc_raw2 = 0.0
-    for p, m in terms:
+    for p, weight, mean, raw2 in terms:
         if p < 0.0:
             raise ValueError(f"term probability must be >= 0, got {p}")
-        w = p * m.weight
+        w = p * weight
         if w <= 0.0:
             continue
         total_w += w
-        acc_mean += w * m.mean
-        acc_raw2 += w * m.raw2
+        acc_mean += w * mean
+        acc_raw2 += w * raw2
     if total_w <= 0.0:
         return WeightedMoments.absent()
     mean = acc_mean / total_w

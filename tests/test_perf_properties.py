@@ -13,12 +13,12 @@ import numpy as np
 
 from repro.core.delay import NormalDelay
 from repro.core.inputs import CONFIG_I
-from repro.core.scenario import (
+from repro.core.spsta import MomentAlgebra, run_spsta
+from repro.core.termplan import (
     WeightTableCache,
     build_weight_table,
     subset_lattice,
 )
-from repro.core.spsta import MomentAlgebra, run_spsta
 from repro.logic.gates import GateType
 from repro.netlist.core import Gate, Netlist
 from repro.stats.grid import (

@@ -7,8 +7,9 @@ produce.  The contract is graded per algebra exactly like the
 fast-vs-naive contract (``tests/test_spsta_fastpath.py``):
 
 - :class:`MomentAlgebra` / :class:`MixtureAlgebra`: bit-exact — the
-  batched backend replays the per-gate kernel per scenario over shared
-  launch/probability state, never reordering a fold.
+  batched backend builds each gate's Eq. 11/12 term plan once per
+  statistics group and replays it per scenario, the same plan and
+  replay ``run_spsta`` runs.
 - :class:`GridAlgebra`: weights within 1e-12 absolute, conditional
   moments within 1e-9 relative — cross-scenario stacking regroups the
   batched divisions and segment sums.
@@ -136,12 +137,51 @@ def test_moment_sweep_mixed_stats_groups():
 
 
 def test_moment_sweep_per_gate_delay_models():
-    """Gate-dependent (hash-spread) delay models defeat the homogeneous
-    fast path; the generic memo must still be bit-exact."""
+    """Gate-dependent (hash-spread) delays give every gate its own
+    delay per scenario; replaying each gate's shared term plan under
+    them must still be bit-exact."""
     netlist = benchmark_circuit("s27")
     base = PerGateDelay(base=1.0, spread=0.2)
     sweep, looped = _run_both(netlist, _corner_scenarios(3, base),
                               MomentAlgebra)
+    for scenario, a, b in zip(sweep.scenarios, sweep.results, looped):
+        _assert_bitexact(a, b, scenario.name)
+
+
+def _mis_scenarios(stats=CONFIG_I):
+    """Popcount-dependent (MIS) delays that differ per scenario.
+
+    Built from bare :class:`MisDelay` models: a corner wrapper exposes
+    only ``delay``, which would hide the ``delay_mis`` hook."""
+    return tuple(Scenario(f"mis-{i}", stats,
+                          MisDelay(base=base, speedup=speedup, sigma=0.1))
+                 for i, (base, speedup) in enumerate(
+                     ((0.8, 0.1), (1.0, 0.15), (1.25, 0.25))))
+
+
+@pytest.mark.parametrize("circuit", ("s27", "s298"))
+def test_moment_sweep_mis_delay(circuit):
+    """Every plan term carries its switching-input count; each scenario
+    picks its own delay for it."""
+    netlist = benchmark_circuit(circuit)
+    sweep, looped = _run_both(netlist, _mis_scenarios(), MomentAlgebra)
+    for scenario, a, b in zip(sweep.scenarios, sweep.results, looped):
+        _assert_bitexact(a, b, scenario.name)
+
+
+def test_mixture_sweep_mis_delay():
+    netlist = benchmark_circuit("s27")
+    sweep, looped = _run_both(netlist, _mis_scenarios(CONFIG_II),
+                              MixtureAlgebra)
+    for scenario, a, b in zip(sweep.scenarios, sweep.results, looped):
+        _assert_bitexact(a, b, scenario.name)
+
+
+def test_moment_sweep_mis_delay_parity_gates():
+    netlist = generate_circuit(GeneratorProfile(
+        name="parity-mix", n_inputs=8, n_outputs=4, n_dffs=2,
+        n_gates=24, depth=4, seed=7, xor_fraction=0.3))
+    sweep, looped = _run_both(netlist, _mis_scenarios(), MomentAlgebra)
     for scenario, a, b in zip(sweep.scenarios, sweep.results, looped):
         _assert_bitexact(a, b, scenario.name)
 

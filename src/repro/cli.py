@@ -341,17 +341,21 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     netlist = _load_circuit(args.circuit)
     algebra = (MixtureAlgebra() if args.algebra == "mixture"
                else MomentAlgebra())
-    result = optimize_spsta(
-        netlist, args.clock_period, metric=args.metric,
-        k_sigma=args.k_sigma, target_yield=args.target_yield,
-        max_area=args.max_area, size_step=args.size_step,
-        max_size=args.max_size, base_delay=args.base_delay,
-        delay_sigma=args.delay_sigma, stats=_config(args.config),
-        algebra=algebra, max_iterations=args.max_iterations,
-        anneal=args.anneal, anneal_moves=args.anneal_moves,
-        rng=np.random.default_rng(args.seed),
-        mc_validate=args.mc_validate, verify_moves=args.verify_moves,
-        bounds_pruning=not args.no_bounds_pruning)
+    try:
+        result = optimize_spsta(
+            netlist, args.clock_period, metric=args.metric,
+            k_sigma=args.k_sigma, target_yield=args.target_yield,
+            max_area=args.max_area, size_step=args.size_step,
+            max_size=args.max_size, base_delay=args.base_delay,
+            delay_sigma=args.delay_sigma, stats=_config(args.config),
+            algebra=algebra, max_iterations=args.max_iterations,
+            anneal=args.anneal, anneal_moves=args.anneal_moves,
+            rng=np.random.default_rng(args.seed),
+            mc_validate=args.mc_validate, verify_moves=args.verify_moves,
+            bounds_pruning=not args.no_bounds_pruning)
+    except ValueError as exc:
+        print(f"spsta optimize: error: {exc}", file=sys.stderr)
+        return 2
 
     n_gates = len(netlist.combinational_gates)
     applied = sum(2 - m.accepted for m in result.moves)
@@ -367,6 +371,9 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     print(f"  incremental re-timing: {result.recomputed_gates} gate "
           f"evaluations for {applied} delay edits "
           f"(full-pass-per-move: {applied * n_gates})")
+    print(f"  move gradients: {result.gradient_gates} cone gate "
+          f"evaluations for {result.iterations} greedy steps "
+          f"(whole-netlist: {result.iterations * n_gates})")
     if result.bounds_pruning:
         print(f"  bounds pruning: {result.pruned_candidates} gates and "
               f"{result.pruned_endpoints} endpoints certified "
@@ -397,6 +404,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
             "accepted_moves": result.accepted_moves,
             "recomputed_gates": result.recomputed_gates,
             "full_pass_equivalent_gates": applied * n_gates,
+            "gradient_gates": result.gradient_gates,
             "bounds_pruning": result.bounds_pruning,
             "pruned_candidates": result.pruned_candidates,
             "pruned_endpoints": result.pruned_endpoints,

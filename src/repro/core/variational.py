@@ -30,6 +30,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.logic.gates import GateType, gate_spec
+from repro.netlist.analysis import fanin_cone
 from repro.netlist.core import Gate, Netlist
 from repro.stats.clark import clark_max_moments, clark_tightness
 
@@ -184,12 +185,19 @@ class VariationalDelay:
 
 @dataclass(frozen=True)
 class VariationalResult:
-    """Per-net rise/fall canonical arrival forms."""
+    """Per-net rise/fall canonical arrival forms.
+
+    A pass restricted to ``outputs`` (see :func:`run_variational`) holds
+    forms only for the launch points and the nets in the outputs'
+    transitive fan-in cones; ``gates_evaluated`` counts the gates it
+    propagated through.
+    """
 
     netlist_name: str
     space: ProcessSpace
     rise: Mapping[str, CanonicalForm]
     fall: Mapping[str, CanonicalForm]
+    gates_evaluated: int
 
     def worst(self, net: str) -> CanonicalForm:
         """The later of rise/fall at a net (canonical MAX)."""
@@ -197,20 +205,37 @@ class VariationalResult:
 
 
 def run_variational(netlist: Netlist, delay: VariationalDelay,
-                    launch_sigma: float = 1.0) -> VariationalResult:
+                    launch_sigma: float = 1.0,
+                    outputs: Optional[Sequence[str]] = None,
+                    ) -> VariationalResult:
     """Min/max-separated SSTA over canonical forms (Sec. 3.6 engine).
 
     Launch points get independent local variance ``launch_sigma ** 2`` (the
     paper's N(0, 1) inputs); direction mapping per gate matches
     :mod:`repro.core.ssta`.
+
+    ``outputs`` restricts the pass to the union of the named nets'
+    transitive fan-in cones (gates still run in topological order).  A
+    gate's form depends only on its inputs' forms and its own delay form,
+    so every cone net's form is bit-identical to the whole-netlist pass;
+    the result holds only the launch points and the cone nets.  An
+    unknown output name raises ``ValueError``.
     """
     space = delay.space
+    gates = netlist.combinational_gates
+    if outputs is not None:
+        launch = set(netlist.launch_points)
+        for net in outputs:
+            if net not in netlist.gates and net not in launch:
+                raise ValueError(f"unknown output net {net!r}")
+        cone = set().union(*(fanin_cone(netlist, net) for net in outputs))
+        gates = tuple(g for g in gates if g.name in cone)
     rise: Dict[str, CanonicalForm] = {}
     fall: Dict[str, CanonicalForm] = {}
     for net in netlist.launch_points:
         rise[net] = CanonicalForm(space, 0.0, None, launch_sigma ** 2)
         fall[net] = CanonicalForm(space, 0.0, None, launch_sigma ** 2)
-    for gate in netlist.combinational_gates:
+    for gate in gates:
         d = delay.delay_form(gate)
         spec = gate_spec(gate.gate_type)
         in_r = [rise[src] for src in gate.inputs]
@@ -232,7 +257,8 @@ def run_variational(netlist: Netlist, delay: VariationalDelay,
                 r, f = f, r
         rise[gate.name] = r + d
         fall[gate.name] = f + d
-    return VariationalResult(netlist.name, space, rise, fall)
+    return VariationalResult(netlist.name, space, rise, fall,
+                             len(gates))
 
 
 def _fold(forms: Sequence[CanonicalForm], op: str) -> CanonicalForm:

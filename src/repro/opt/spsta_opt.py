@@ -14,7 +14,8 @@ existing layers:
 - **gradients** — one variational pass with one process parameter per
   candidate gate yields d(endpoint arrival)/d(gate delay) for *all*
   candidates at once (:mod:`repro.core.variational`), so greedy move
-  selection never re-runs the statistical engine;
+  selection never re-runs the statistical engine; the pass covers only
+  the worst endpoint's fan-in cone, so it costs O(cone gates * dim);
 - **oracle** — the final sizing can be validated with the Monte Carlo
   engine's joint (all-endpoints, shared-trial) yield.
 
@@ -55,7 +56,7 @@ from repro.stats.normal import Normal
 
 #: Candidate-set cap for the per-move variational gradient pass: one
 #: process parameter per candidate, so this bounds the canonical-form
-#: dimension (cost of the pass is O(gates * dim)).
+#: dimension (cost of the pass is O(cone gates * dim)).
 GRADIENT_CANDIDATE_CAP = 24
 
 
@@ -109,6 +110,7 @@ class SpstaSizingResult:
     accepted_moves: int
     met_target: bool
     recomputed_gates: int             # total per-move gate re-evaluations
+    gradient_gates: int               # gates the gradient passes evaluated
     moves: Tuple[Move, ...] = ()
     verified_moves: int = 0           # per-move conformance checks run
     mc_validation: Optional[McValidation] = None
@@ -171,15 +173,38 @@ def optimize_spsta(netlist: Netlist,
     are dropped from the candidate sets.  Both exclusions are provable
     no-ops on the chosen moves: results are bit-identical with pruning
     on or off (the cost function always scans every endpoint).
+
+    Out-of-range options (a non-positive ``clock_period``,
+    ``size_step`` or ``base_delay``, ``max_size < 1``, a negative
+    ``delay_sigma``, ``max_area`` or count, a non-finite ``k_sigma``,
+    any NaN) raise ``ValueError``; ``max_area=inf`` means no budget.
     """
-    if clock_period <= 0.0:
-        raise ValueError("clock_period must be > 0")
+    # Written as "not (ok)" so that NaN fails every numeric check.
+    if not clock_period > 0.0:
+        raise ValueError(f"clock_period must be > 0, got {clock_period}")
     if metric not in ("yield", "mean-ksigma"):
         raise ValueError(f"unknown metric {metric!r}")
     if not 0.0 < target_yield <= 1.0:
         raise ValueError("target_yield must be in (0, 1]")
     if retime not in ("incremental", "full"):
         raise ValueError(f"unknown retime mode {retime!r}")
+    if not size_step > 0.0:
+        raise ValueError(f"size_step must be > 0, got {size_step}")
+    if not max_size >= 1.0:
+        raise ValueError(f"max_size must be >= 1, got {max_size}")
+    if not base_delay > 0.0:
+        raise ValueError(f"base_delay must be > 0, got {base_delay}")
+    if not delay_sigma >= 0.0:
+        raise ValueError(f"delay_sigma must be >= 0, got {delay_sigma}")
+    if not math.isfinite(k_sigma):
+        raise ValueError(f"k_sigma must be finite, got {k_sigma}")
+    if not max_area >= 0.0:
+        raise ValueError(f"max_area must be >= 0, got {max_area}")
+    for name, count in (("max_iterations", max_iterations),
+                        ("anneal_moves", anneal_moves),
+                        ("mc_validate", mc_validate)):
+        if count < 0:
+            raise ValueError(f"{name} must be >= 0, got {count}")
     if algebra is None:
         algebra = MomentAlgebra()
     if not isinstance(algebra, (MomentAlgebra, MixtureAlgebra)):
@@ -215,7 +240,7 @@ def optimize_spsta(netlist: Netlist,
         prunable = frozenset(static.non_critical_gates(clock_period))
         scan_endpoints = [net for net in endpoints if net not in never]
 
-    state = {"recomputed": 0, "verified": 0}
+    state = {"recomputed": 0, "verified": 0, "gradient": 0}
     moves: List[Move] = []
 
     def apply(gate: str, size: float) -> int:
@@ -259,9 +284,10 @@ def optimize_spsta(netlist: Netlist,
                       ][:GRADIENT_CANDIDATE_CAP]
         if not candidates:
             break
-        scored = _score_candidates(netlist, endpoint, candidates, sizes,
-                                   base_delay, delay_sigma, size_step,
-                                   max_size)
+        scored, evaluated = _score_candidates(
+            netlist, endpoint, candidates, sizes, base_delay, delay_sigma,
+            size_step, max_size)
+        state["gradient"] += evaluated
         chosen: Optional[Tuple[str, float]] = None
         for gate, _score in scored:
             new_size = min(sizes.get(gate, 1.0) + size_step, max_size)
@@ -354,6 +380,7 @@ def optimize_spsta(netlist: Netlist,
         anneal_moves_run=anneal_moves_run,
         accepted_moves=sum(1 for m in moves if m.accepted),
         met_target=met(current), recomputed_gates=state["recomputed"],
+        gradient_gates=state["gradient"],
         moves=tuple(moves), verified_moves=state["verified"],
         mc_validation=mc_validation,
         bounds_pruning=pruning_active,
@@ -513,11 +540,17 @@ def _score_candidates(netlist: Netlist, endpoint: str,
                       candidates: List[str], sizes: Mapping[str, float],
                       base_delay: float, delay_sigma: float,
                       size_step: float, max_size: float,
-                      ) -> List[Tuple[str, float]]:
-    """Candidates ranked by (arrival sensitivity x delay gain / area)."""
+                      ) -> Tuple[List[Tuple[str, float]], int]:
+    """Candidates ranked by (arrival sensitivity x delay gain / area),
+    and the number of gates the gradient pass evaluated.
+
+    The variational pass covers only ``endpoint``'s fan-in cone: the
+    endpoint's form is bit-identical to a whole-netlist pass.
+    """
     space = ProcessSpace(tuple(candidates))
     model = _MoveGradientDelay(space, base_delay, delay_sigma, sizes)
-    arrival = run_variational(netlist, model).worst(endpoint)
+    result = run_variational(netlist, model, outputs=(endpoint,))
+    arrival = result.worst(endpoint)
     scored: List[Tuple[str, float]] = []
     for gate in candidates:
         size = sizes.get(gate, 1.0)
@@ -529,7 +562,7 @@ def _score_candidates(netlist: Netlist, endpoint: str,
         sensitivity = arrival.sensitivity(gate)
         scored.append((gate, sensitivity * gain / darea))
     scored.sort(key=lambda item: (-item[1], item[0]))
-    return scored
+    return scored, result.gates_evaluated
 
 
 def _area(sizes: Mapping[str, float]) -> float:

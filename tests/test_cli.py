@@ -157,6 +157,7 @@ class TestOptimizeCommand:
         out = capsys.readouterr().out
         assert "yield" in out
         assert "incremental re-timing" in out
+        assert "cone gate evaluations" in out
 
     def test_optimize_json_verify_and_mc(self, tmp_path, capsys):
         import json
@@ -179,6 +180,23 @@ class TestOptimizeCommand:
                 m for m in report["moves"] if not m["accepted"]])
         assert report["recomputed_gates"] <= \
             report["full_pass_equivalent_gates"]
+        assert 0 < report["gradient_gates"] <= report["iterations"] * 10
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--size-step=-0.5", "--anneal"], "size_step must be > 0"),
+        (["--metric", "mean-ksigma", "--k-sigma", "nan"],
+         "k_sigma must be finite"),
+        (["--max-size", "0.5"], "max_size must be >= 1"),
+        (["--max-area=-1"], "max_area must be >= 0"),
+    ])
+    def test_optimize_bad_option_is_one_error_line(self, capsys, flags,
+                                                   message):
+        assert main(["optimize", "s27", "--clock-period", "4",
+                     *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"spsta optimize: error: {message}")
 
 
 class TestTestabilityCommand:

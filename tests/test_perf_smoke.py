@@ -37,6 +37,19 @@ def _seconds(fn):
     return time.perf_counter() - t0
 
 
+def _quiet_seconds(fn):
+    """``_seconds`` from a collected heap with the cyclic collector
+    paused, as in ``timeit``: a full collection's cost grows with every
+    object the rest of the test session keeps alive, and landing in one
+    side's samples it swamps the gap being measured."""
+    gc.collect()
+    gc.disable()
+    try:
+        return _seconds(fn)
+    finally:
+        gc.enable()
+
+
 def _timed(netlist, engine):
     profile = SpstaProfile()
     t0 = time.perf_counter()
@@ -137,11 +150,7 @@ def test_closed_form_moment_sweep_beats_looped_on_s1196():
     least 1.3x faster than 8 ``run_spsta`` calls (about 1.5x on a
     2-CPU container; the two cost the same when every scenario rebuilds
     its terms).  After one untimed round the two sides alternate and
-    each keeps its best of three.  As in
-    ``timeit``, each sample starts from a collected heap and runs with
-    the cyclic collector paused: a full collection's cost grows with
-    every object the rest of the test session keeps alive, and landing
-    in one side's samples it swamped the gap being measured."""
+    each keeps its best of three ``_quiet_seconds`` samples."""
     from repro.core.scenario import (
         derate_corners,
         run_scenario_batch,
@@ -152,27 +161,56 @@ def test_closed_form_moment_sweep_beats_looped_on_s1196():
     netlist = benchmark_circuit("s1196")
     scenarios = scenarios_from_corners(derate_corners(0.8, 1.25, 8), DELAY,
                                        CONFIG_I)
-    def quiet_seconds(fn):
-        gc.collect()
-        gc.disable()
-        try:
-            return _seconds(fn)
-        finally:
-            gc.enable()
-
     # Fills the process-wide lattice and parity-table memos and warms
     # the allocator for both sides.
     run_scenario_batch(netlist, scenarios, MomentAlgebra())
     run_scenarios_looped(netlist, scenarios, MomentAlgebra)
     batched = looped = float("inf")
     for _ in range(3):
-        batched = min(batched, quiet_seconds(lambda: run_scenario_batch(
+        batched = min(batched, _quiet_seconds(lambda: run_scenario_batch(
             netlist, scenarios, MomentAlgebra())))
-        looped = min(looped, quiet_seconds(lambda: run_scenarios_looped(
+        looped = min(looped, _quiet_seconds(lambda: run_scenarios_looped(
             netlist, scenarios, MomentAlgebra)))
     assert looped >= 1.3 * batched, (
         f"moment sweep {batched:.3f}s vs looped {looped:.3f}s "
         f"({looped / batched:.2f}x)")
+
+
+def test_cone_move_pricing_beats_the_whole_netlist_oracle_on_s344(
+        monkeypatch):
+    """Greedy moves are priced by a variational pass over the worst
+    endpoint's fan-in cone: the perfbench s344 yield optimize job (44
+    greedy steps on cones of 5 to 42 of 160 gates, then 200 anneal
+    proposals) must run at least 1.6x faster than with the
+    whole-netlist oracle scorer (about 2.5x locally).  After one
+    untimed round the two sides alternate and each keeps its best of
+    three ``_quiet_seconds`` samples."""
+    from repro.opt import optimize_spsta, spsta_opt
+    from tests.test_spsta_opt import whole_netlist_score_candidates
+
+    netlist = benchmark_circuit("s344")
+
+    def job():
+        optimize_spsta(netlist, 12.0, metric="yield", target_yield=1.0,
+                       max_area=1000.0, anneal=True, anneal_moves=200,
+                       stats=CONFIG_I, base_delay=DELAY.mu,
+                       delay_sigma=DELAY.sigma)
+
+    def oracle_job():
+        with monkeypatch.context() as patch:
+            patch.setattr(spsta_opt, "_score_candidates",
+                          whole_netlist_score_candidates)
+            job()
+
+    job()
+    oracle_job()
+    cone = whole = float("inf")
+    for _ in range(3):
+        cone = min(cone, _quiet_seconds(job))
+        whole = min(whole, _quiet_seconds(oracle_job))
+    assert whole >= 1.6 * cone, (
+        f"s344 optimize {cone:.3f}s vs whole-netlist oracle {whole:.3f}s "
+        f"({whole / cone:.2f}x)")
 
 
 def test_fast_moment_engine_is_quick_on_s9234():

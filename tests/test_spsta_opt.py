@@ -1,13 +1,50 @@
 """Tests for repro.opt.spsta_opt — SPSTA-in-the-loop optimization."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from repro.core.spsta import GridAlgebra, MixtureAlgebra
+from repro.core.variational import ProcessSpace, run_variational
 from repro.netlist.benchmarks import benchmark_circuit
-from repro.opt import SizedNormalDelay, optimize_spsta
+from repro.opt import SizedNormalDelay, optimize_spsta, spsta_opt
 from repro.stats.grid import TimeGrid
 from repro.stats.normal import Normal
+
+
+def whole_netlist_score_candidates(netlist, endpoint, candidates, sizes,
+                                   base_delay, delay_sigma, size_step,
+                                   max_size):
+    """Oracle scorer: the gradient pass over every gate of the netlist,
+    as move pricing ran before it was restricted to the endpoint's
+    fan-in cone."""
+    space = ProcessSpace(tuple(candidates))
+    model = spsta_opt._MoveGradientDelay(space, base_delay, delay_sigma,
+                                         sizes)
+    arrival = run_variational(netlist, model).worst(endpoint)
+    scored = []
+    for gate in candidates:
+        size = sizes.get(gate, 1.0)
+        new_size = min(size + size_step, max_size)
+        gain = base_delay / size - base_delay / new_size
+        darea = new_size - size
+        if darea <= 0.0:
+            continue
+        sensitivity = arrival.sensitivity(gate)
+        scored.append((gate, sensitivity * gain / darea))
+    scored.sort(key=lambda item: (-item[1], item[0]))
+    return scored, len(netlist.combinational_gates)
+
+
+def _hex_view(result):
+    """Every float of a result as ``float.hex`` (the comparison key)."""
+    return (
+        {gate: size.hex() for gate, size in result.sizes.items()},
+        result.metric_before.hex(), result.metric_after.hex(),
+        [(m.phase, m.gate, m.size.hex(), m.accepted, m.metric_after.hex(),
+          m.recomputed) for m in result.moves])
 
 
 class TestSizedNormalDelay:
@@ -117,6 +154,24 @@ class TestOptimizeSpsta:
 
     def test_validation_errors(self):
         netlist = benchmark_circuit("s27")
+        with pytest.raises(ValueError, match="clock_period"):
+            optimize_spsta(netlist, clock_period=math.nan)
+        bad_options = [
+            dict(size_step=-0.5, anneal=True), dict(size_step=0.0),
+            dict(size_step=math.nan), dict(max_size=0.5),
+            dict(max_size=math.nan), dict(base_delay=0.0),
+            dict(base_delay=-1.0), dict(delay_sigma=-0.1),
+            dict(delay_sigma=math.nan),
+            dict(k_sigma=math.nan, metric="mean-ksigma"),
+            dict(k_sigma=math.inf), dict(max_area=-1.0),
+            dict(max_area=math.nan), dict(max_iterations=-1),
+            dict(anneal_moves=-1, anneal=True), dict(mc_validate=-1),
+        ]
+        for options in bad_options:
+            (name,) = [key for key in options
+                       if key not in ("anneal", "metric")]
+            with pytest.raises(ValueError, match=name):
+                optimize_spsta(netlist, clock_period=5.0, **options)
         with pytest.raises(ValueError):
             optimize_spsta(netlist, clock_period=0.0)
         with pytest.raises(ValueError):
@@ -128,3 +183,64 @@ class TestOptimizeSpsta:
         with pytest.raises(ValueError):
             optimize_spsta(netlist, clock_period=5.0,
                            algebra=GridAlgebra(TimeGrid(0.0, 10.0, 64)))
+
+    def test_boundary_options_are_legal(self):
+        netlist = benchmark_circuit("s27")
+        result = optimize_spsta(netlist, clock_period=3.0,
+                                max_area=math.inf, max_size=1.0,
+                                delay_sigma=0.0, max_iterations=0,
+                                anneal_moves=0, mc_validate=0)
+        assert result.sizes == {}
+        unbounded = optimize_spsta(netlist, clock_period=3.0,
+                                   max_area=math.inf, max_iterations=3)
+        assert unbounded.iterations == 3
+
+
+class TestConeGradients:
+    """Move pricing on the worst endpoint's fan-in cone chooses exactly
+    the moves the whole-netlist gradient pass chose."""
+
+    CASES = [
+        ("s27", dict(clock_period=3.0, metric="yield", target_yield=1.0,
+                     max_area=1000.0, anneal=True, anneal_moves=60)),
+        ("s27", dict(clock_period=3.0, metric="yield", target_yield=1.0,
+                     max_area=1000.0, anneal=True, anneal_moves=60,
+                     algebra=MixtureAlgebra())),
+        ("s344", dict(clock_period=12.0, metric="yield", target_yield=1.0,
+                      max_area=1000.0, anneal=True, anneal_moves=200)),
+        ("s344", dict(clock_period=12.0, metric="yield", target_yield=1.0,
+                      max_area=1000.0, anneal=True, anneal_moves=40,
+                      algebra=MixtureAlgebra())),
+        ("s1196", dict(clock_period=16.5, metric="mean-ksigma",
+                       max_iterations=4)),
+        ("s1196", dict(clock_period=16.5, metric="mean-ksigma",
+                       max_iterations=4, bounds_pruning=False)),
+    ]
+
+    @pytest.mark.parametrize("circuit, options", CASES)
+    def test_matches_whole_netlist_oracle(self, circuit, options,
+                                          monkeypatch):
+        netlist = benchmark_circuit(circuit)
+        cone = optimize_spsta(netlist, rng=np.random.default_rng(7),
+                              **options)
+        monkeypatch.setattr(spsta_opt, "_score_candidates",
+                            whole_netlist_score_candidates)
+        whole = optimize_spsta(netlist, rng=np.random.default_rng(7),
+                               **options)
+        assert cone.iterations > 0
+        assert _hex_view(cone) == _hex_view(whole)
+        assert dataclasses.replace(cone, gradient_gates=0) == \
+            dataclasses.replace(whole, gradient_gates=0)
+        assert cone.gradient_gates <= whole.gradient_gates
+
+    def test_gradient_gates_count_cone_gates_on_s344(self):
+        netlist = benchmark_circuit("s344")
+        n_gates = len(netlist.combinational_gates)
+        assert n_gates == 160
+        result = optimize_spsta(netlist, clock_period=12.0,
+                                metric="yield", target_yield=1.0,
+                                max_area=1000.0)
+        # 44 greedy steps price their moves on cones of 5 to 42 gates.
+        assert result.iterations == 44
+        assert result.gradient_gates == 941
+        assert result.gradient_gates < result.iterations * n_gates / 5

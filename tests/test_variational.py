@@ -1,5 +1,6 @@
 """Tests for repro.core.variational — canonical polynomial arrival times."""
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -11,8 +12,10 @@ from repro.core.variational import (
     timing_yield,
 )
 from repro.logic.gates import GateType
+from repro.netlist.analysis import fanin_cone
 from repro.netlist.benchmarks import benchmark_circuit
 from repro.netlist.core import Gate, Netlist
+from tests.test_random_circuits import random_dag
 
 SPACE = ProcessSpace(("L", "V"))
 
@@ -136,6 +139,85 @@ class TestRunVariational:
     def test_benchmark_runs(self):
         result = run_variational(benchmark_circuit("s298"), self._delay())
         assert all(f.var >= 0 for f in result.rise.values())
+
+
+class _PerGateDelay:
+    """One shared parameter plus one parameter per gate, and a nominal
+    that grows with fan-in, so every gate's form is distinct."""
+
+    def __init__(self, netlist):
+        self.space = ProcessSpace(
+            ("G",) + tuple(g.name for g in netlist.combinational_gates))
+
+    def delay_form(self, gate):
+        coeffs = np.zeros(self.space.dim)
+        coeffs[0] = 0.05
+        coeffs[self.space.index(gate.name)] = 0.1
+        return CanonicalForm(self.space, 1.0 + 0.1 * len(gate.inputs),
+                             coeffs, 0.01)
+
+
+def _assert_cone_matches_full(netlist, outputs):
+    """The ``outputs`` pass holds exactly the launch points and the cone
+    nets, each bit-identical to the whole-netlist pass."""
+    delay = _PerGateDelay(netlist)
+    full = run_variational(netlist, delay)
+    cone = run_variational(netlist, delay, outputs=outputs)
+    launch = set(netlist.launch_points)
+    expected = launch.union(*(fanin_cone(netlist, n) for n in outputs))
+    assert set(cone.rise) == set(cone.fall) == expected
+    assert cone.gates_evaluated == len(expected - launch)
+    assert full.gates_evaluated == len(netlist.combinational_gates)
+    for net in expected:
+        for got, want in ((cone.rise[net], full.rise[net]),
+                          (cone.fall[net], full.fall[net])):
+            assert got.a0.hex() == want.a0.hex(), net
+            assert got.coeffs.tobytes() == want.coeffs.tobytes(), net
+            assert got.local_var.hex() == want.local_var.hex(), net
+    return cone
+
+
+class TestConePass:
+    @settings(max_examples=60, deadline=None)
+    @given(random_dag(max_gates=12), st.data())
+    def test_cone_forms_bit_identical_on_random_circuits(self, netlist,
+                                                         data):
+        nets = list(netlist.launch_points) + [
+            g.name for g in netlist.combinational_gates]
+        outputs = data.draw(st.lists(st.sampled_from(nets), min_size=1,
+                                     max_size=3))
+        _assert_cone_matches_full(netlist, outputs)
+
+    def test_launch_point_output(self, mixed_circuit):
+        cone = _assert_cone_matches_full(mixed_circuit, ["a"])
+        assert cone.gates_evaluated == 0
+        assert set(cone.rise) == set(mixed_circuit.launch_points)
+
+    def test_not_buff_chain_output(self):
+        netlist = Netlist("chain_side", ["a", "b"], ["n3", "y"], [
+            Gate("n1", GateType.NOT, ("a",)),
+            Gate("side", GateType.AND, ("a", "b")),
+            Gate("n2", GateType.BUFF, ("n1",)),
+            Gate("y", GateType.OR, ("side", "n2")),
+            Gate("n3", GateType.NOT, ("n2",)),
+        ])
+        cone = _assert_cone_matches_full(netlist, ["n3"])
+        assert cone.gates_evaluated == 3
+        assert "side" not in cone.rise and "y" not in cone.rise
+
+    def test_parity_gate_in_cone(self, mixed_circuit):
+        cone = _assert_cone_matches_full(mixed_circuit, ["p"])
+        assert {"n1", "n4", "p"} <= set(cone.rise)
+        assert "out" not in cone.rise and "n2" not in cone.rise
+
+    def test_benchmark_endpoint_cone(self):
+        netlist = benchmark_circuit("s298")
+        _assert_cone_matches_full(netlist, list(netlist.endpoints[:2]))
+
+    def test_unknown_output_rejected(self, mixed_circuit):
+        with pytest.raises(ValueError, match="nope"):
+            run_variational(mixed_circuit, _PerGateDelay(mixed_circuit),
+                            outputs=["out", "nope"])
 
 
 class TestTimingYield:
